@@ -132,7 +132,7 @@ def test_bench_chaos_gates(benchmark, table_printer, bench_json):
                 f"sequential re-execution"
             ),
             "engine": ENGINE,
-            "transport": "shm",
+            "isolation_runs": report.isolation_runs,
             "gates": dict(report.gates),
             "counts": dict(c),
             "p99_clean_ms": report.p99_clean_ms,

@@ -83,7 +83,6 @@ def _measure():
         rows.append([
             report.backend,
             report.workers,
-            report.transport,
             len(report.summaries),
             report.wall_s,
             report.throughput,
@@ -103,11 +102,11 @@ def test_bench_service_throughput(benchmark, table_printer, bench_json):
         render_table(
             f"E15  batch service - {BATCH} mixed instances, engine={ENGINE} "
             f"(best-of-{REPEAT}, {cpus} cpus)",
-            ["backend", "workers", "transport", "batch", "wall s", "inst/s",
-             "speedup", "digest"],
+            ["backend", "workers", "batch", "wall s", "inst/s", "speedup",
+             "digest"],
             [
-                [b, w, x or "-", n, f"{t:.2f}", f"{r:.1f}", f"{s:.2f}x", d]
-                for b, w, x, n, t, r, s, d in rows
+                [b, w, n, f"{t:.2f}", f"{r:.1f}", f"{s:.2f}x", d]
+                for b, w, n, t, r, s, d in rows
             ],
         )
     )
@@ -124,7 +123,6 @@ def test_bench_service_throughput(benchmark, table_printer, bench_json):
             {
                 "backend": b,
                 "workers": w,
-                "transport": x,
                 "batch": n,
                 "wall_s": round(t, 3),
                 "instances_per_s": round(r, 2),
@@ -132,7 +130,7 @@ def test_bench_service_throughput(benchmark, table_printer, bench_json):
                 "gated": enforced and w > 1,
                 "batch_digest": d,
             }
-            for b, w, x, n, t, r, s, d in rows
+            for b, w, n, t, r, s, d in rows
         ],
     }
     if not enforced:
@@ -141,7 +139,7 @@ def test_bench_service_throughput(benchmark, table_printer, bench_json):
             f"is unmeasurable here (see top-level meta)"
         )
     bench_json("service", payload)
-    speedup = rows[-1][6]
+    speedup = rows[-1][5]
     if enforced:
         assert speedup >= SPEEDUP_TARGET, (
             f"{WORKERS}-worker batch speedup {speedup:.2f}x below target "

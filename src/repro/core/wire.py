@@ -32,8 +32,8 @@ Since PR 7 the same columnar idea crosses the *IPC* boundary: the envelope
 column primitives at the bottom of this module (string table, constant /
 interned / raw string columns, i64 / f64 / byte / optional-f64 columns) are
 the building blocks :mod:`repro.service.transport` assembles into flat
-``RunRequest``/``RunSummary`` envelope buffers — the zero-copy request and
-result path of the batch and stream backends.  They live here, beside the
+``RunRequest``/``RunSummary`` envelope buffers — the request and result
+path of the worker pool behind the batch and stream front ends.  They live here, beside the
 data-plane columns, because they are the same representation discipline:
 parallel flat buffers, constant-column collapse, one C-speed pass per
 column instead of one pickle per object.

@@ -5,10 +5,13 @@ Two front ends share the same envelopes, judgement and digests:
 * :mod:`repro.service.batch` — *offline*: callers enqueue
   :class:`~repro.core.engine.RunRequest` envelopes (any registered
   routing/sorting/extension algorithm x workload x engine), the
-  :class:`BatchService` shards them across a process pool (or the
+  :class:`BatchService` shards them across a :class:`WorkerPool` (or the
   in-process sequential baseline), warms worker plan caches from a
   structural prefetch pass, and streams back judged
   :class:`~repro.core.engine.RunSummary` records with batch aggregates.
+  :class:`WorkerPool` is the execution core both front ends drive: one
+  executor lifecycle, one envelope dispatch path, and fault isolation
+  that fails only the request that killed a worker.
 * :mod:`repro.service.stream` — *online*: the :class:`StreamGateway`
   accepts a continuous request stream behind a bounded queue with
   explicit backpressure (reject or block), enforces per-request
@@ -23,9 +26,8 @@ Two operational companions ride on the same envelopes:
 * :mod:`repro.service.chaos` — fault injection (worker kills, poison
   requests, stragglers) against live gateways, gated on recovery,
   digest correctness, and bounded p99.
-* :mod:`repro.service.transport` — the zero-copy request/result path
-  shared by both front ends: columnar envelope codec, shared-memory
-  slot arena with pickle fallback, and the autoscaler policy.
+* :mod:`repro.service.transport` — the columnar envelope codec every
+  executor hop and network frame carries, and the autoscaler policy.
 * :mod:`repro.service.net` — the networked front end: a versioned
   length-prefixed binary protocol over TCP whose payloads are the
   transport's columnar envelopes; asyncio server fronting the stream
@@ -47,8 +49,8 @@ from .batch import (
     CHAOS_TAG_PREFIX,
     BatchReport,
     BatchService,
-    ProcessPoolBackend,
     SequentialBackend,
+    WorkerPool,
     execute_request,
     requests_from_scenarios,
     summaries_digest,
@@ -101,17 +103,11 @@ _NET_EXPORTS = (
 )
 
 _TRANSPORT_EXPORTS = (
-    "TRANSPORTS",
     "AutoscalePolicy",
-    "PendingEnvelope",
-    "PickleTransport",
-    "ShmArena",
-    "ShmTransport",
     "decode_requests",
     "decode_summaries",
     "encode_requests",
     "encode_summaries",
-    "make_transport",
 )
 
 
@@ -142,8 +138,8 @@ __all__ = [
     "CHAOS_TAG_PREFIX",
     "BatchReport",
     "BatchService",
-    "ProcessPoolBackend",
     "SequentialBackend",
+    "WorkerPool",
     "execute_request",
     "requests_from_scenarios",
     "summaries_digest",

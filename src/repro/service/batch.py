@@ -1,30 +1,28 @@
-"""Sharded batch execution: many runs, many workers, one report.
+"""The execution core and the batch service: many runs, many workers.
 
 Lenzen's routing and sorting finish in O(1) rounds *per instance*, so the
-axis this reproduction scales along is throughput across **many** instances
-— the service regime from the ROADMAP ("heavy traffic from millions of
-users").  This module is that front end:
+axis this reproduction scales along is throughput across **many**
+instances.  This module holds the pieces every front end shares:
 
 * Requests are :class:`~repro.core.engine.RunRequest` envelopes — picklable
   coordinates, not live objects — resolved through the scenario taxonomy
   and the algorithm registry.  Anything registered with
   :func:`repro.scenarios.runner.register_algorithm` is addressable.
-* Two backends shard a batch: :class:`SequentialBackend` runs in-process in
-  request order (the determinism baseline), :class:`ProcessPoolBackend`
-  fans chunks out to a ``ProcessPoolExecutor``.
-* Every run is judged exactly as the scenario harness judges it (oracle
-  verification, round bounds, message budget) and collapsed to a
-  :class:`~repro.core.engine.RunSummary`; summaries stream back in request
-  order so callers can consume a large batch incrementally.
-* **Worker plan-cache warmup.**  The structural plans (Koenig colorings,
-  group partitions, header codecs) dominate per-run setup and recur across
-  a batch.  The pool backend runs a *structural prefetch pass*: one
-  representative request per distinct ``(kind, family, n, algorithm,
-  engine)`` group executes in the parent, the parent's
-  :class:`~repro.core.context.PlanCache` is snapshotted (pickle-filtered),
-  and every worker warms from that snapshot in its initializer.  Prefetch
-  runs are real results — their summaries are spliced back into the batch,
-  so the warmup costs no duplicated work.
+* :func:`execute_request` judges every run exactly as the scenario harness
+  judges it (oracle verification, round bounds, message budget) and
+  collapses it to a :class:`~repro.core.engine.RunSummary`.
+* :class:`WorkerPool` is the one execution core: it builds the executor
+  (process workers warm from one pickled plan snapshot), dispatches
+  request lists as RENV envelopes, and isolates the request that kills a
+  worker so that nothing else fails with it.  The batch service below and
+  the streaming gateway (:mod:`repro.service.stream`) both drive it.
+* :class:`BatchService` is the offline driver: a structural prefetch pass
+  (one representative request per distinct ``(kind, family, n,
+  algorithm, engine)`` group runs in the parent, and the resulting
+  :class:`~repro.core.context.PlanCache` snapshot warms every worker;
+  prefetch summaries are spliced back into the batch), then a sliding
+  window of chunks through the core, results streamed in request order.
+  :class:`SequentialBackend` is the in-process reference.
 
 The digests let any two paths over the same batch — sequential, pooled, or
 direct ``engine.execute`` calls — be compared byte-for-byte; CI's service
@@ -35,9 +33,17 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import queue
+import threading
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -51,14 +57,17 @@ from ..core.engine import (
 )
 from ..scenarios.generators import Scenario
 from ..scenarios.runner import ScenarioOutcome, ScenarioRunner
-from .transport import PendingEnvelope, make_transport
+# The hop reaches the codec through the module, not through names bound
+# here, so wrappers installed on repro.service.transport (span tracing)
+# see every executor-boundary encode and decode.
+from . import transport
 
 __all__ = [
     "BatchReport",
     "BatchService",
     "CHAOS_TAG_PREFIX",
-    "ProcessPoolBackend",
     "SequentialBackend",
+    "WorkerPool",
     "execute_request",
     "requests_from_scenarios",
     "structural_key",
@@ -183,20 +192,12 @@ def execute_request(req: RunRequest) -> RunSummary:
     return _summarize(req, outcome)
 
 
-def _execute_chunk(reqs: List[RunRequest]) -> List[RunSummary]:
-    return [execute_request(r) for r in reqs]
-
-
-def _warm_worker(plans: Dict[Hashable, object]) -> None:
-    """Pool-worker initializer: adopt the parent's structural plans."""
-    plan_cache().warm(plans)
-
-
 def _pickle_plans(plans: Dict[Hashable, object]) -> bytes:
     """Freeze a plan-cache snapshot into one reusable initializer blob.
 
-    Pickled **once per batch** and handed to every worker initializer —
-    including the workers of every pool rebuilt after a chaos kill.
+    Pickled **once per** :class:`WorkerPool` and handed to every worker
+    initializer — including the workers of every pool rebuilt after a
+    chaos kill.
     Before this existed the snapshot dict rode the ``initargs`` tuple and
     was re-pickled on every pool (re)build, which made recovery cost
     scale with the warm set.
@@ -222,139 +223,244 @@ class SequentialBackend:
         pass
 
 
-class ProcessPoolBackend:
-    """Shard a batch across a ``ProcessPoolExecutor``.
+#: Executor backends of :class:`WorkerPool`.
+BACKENDS = ("process", "thread")
+
+#: Inbox message that tells the pool's dispatcher thread to wind down.
+_CLOSE = object()
+
+
+class _Job:
+    """One :meth:`WorkerPool.submit` call: its requests and its future."""
+
+    def __init__(self, requests: List[RunRequest]) -> None:
+        self.requests = requests
+        self.results: List[Optional[RunSummary]] = [None] * len(requests)
+        self.pending = len(requests)
+        self.future: "Future[List[RunSummary]]" = Future()
+        # A running future cannot be cancelled, so the dispatcher thread
+        # never races a consumer's cancel() when it resolves the job.
+        self.future.set_running_or_notify_cancel()
+
+    def fill(self, start: int, summaries: Sequence[RunSummary]) -> None:
+        self.results[start:start + len(summaries)] = summaries
+        self.pending -= len(summaries)
+        if not self.pending and not self.future.done():
+            self.future.set_result(self.results)  # type: ignore[arg-type]
+
+
+class _Envelope:
+    """A slice ``[start, stop)`` of a job, crossing the boundary as one hop."""
+
+    __slots__ = ("job", "start", "stop", "gen")
+
+    def __init__(self, job: _Job, start: int, stop: int) -> None:
+        self.job = job
+        self.start = start
+        self.stop = stop
+        self.gen = -1  # executor generation it was dispatched to
+
+    @property
+    def requests(self) -> List[RunRequest]:
+        return self.job.requests[self.start:self.stop]
+
+    def halves(self) -> Tuple["_Envelope", "_Envelope"]:
+        mid = (self.start + self.stop) // 2
+        return (
+            _Envelope(self.job, self.start, mid),
+            _Envelope(self.job, mid, self.stop),
+        )
+
+
+class WorkerPool:
+    """The one execution core behind the batch service and the gateway.
 
     Args:
-        workers: pool size (>= 1).
-        warm_plans: plan-cache snapshot installed in every worker's
-            process-wide :class:`~repro.core.context.PlanCache` before it
-            takes work (see :meth:`PlanCache.warm`).  Pickled **once** into
-            an initializer blob (:func:`_pickle_plans`) shared by every
-            pool this backend builds, including rebuilds after breakage.
-        chunk: requests per task; ``None`` picks ``ceil(batch / (4 *
-            workers))`` capped at 32 — large enough to amortize IPC, small
-            enough to keep the pool balanced and summaries streaming.
-        transport: envelope transport across the executor boundary —
-            ``"shm"`` (columnar envelopes through shared-memory slots,
-            auto-degrading to pickle where shared memory is unavailable)
-            or ``"pickle"`` (columnar envelopes through the executor's
-            pickle channel).  See :mod:`repro.service.transport`.
+        workers: executor size (>= 1).
+        backend: ``"process"`` (a ``ProcessPoolExecutor`` whose workers
+            warm from ``warm_plans``) or ``"thread"`` (a
+            ``ThreadPoolExecutor`` sharing the process-wide plan cache).
+        warm_plans: plan-cache snapshot installed in every process
+            worker's :class:`~repro.core.context.PlanCache` before it takes
+            work.  Pickled **once** (:func:`_pickle_plans`) into the
+            initializer blob of every pool this core builds, including
+            rebuilds after breakage.
 
-    Chunks move as *columnar envelopes*, not per-object pickles, and are
-    submitted through a sliding window (``4 * workers`` in flight) sized
-    to the transport's shared-memory arena — every in-flight chunk can
-    hold a slot, and summaries stream back as each envelope resolves.
+    :meth:`submit` is the only dispatch path: a request list crosses the
+    executor boundary as one RENV envelope (:mod:`repro.service.transport`)
+    through the executor's own pickle channel, and the returned future
+    resolves with the summaries in request order.  A private dispatcher
+    thread owns the executor; every hop and every completion passes
+    through its inbox, so recovery decisions are made in one place.
 
-    **Pool-death semantics.**  When a worker process dies mid-batch (OOM
-    kill, segfault, a chaos ``kill`` fault), ``ProcessPoolExecutor`` breaks
-    the *whole* pool: every pending future raises ``BrokenExecutor``.
-    Instead of propagating — which would discard every already-judged
-    summary — the backend marks the chunk whose envelope surfaced the
-    breakage as :data:`~repro.core.engine.STATUS_FAILED`, abandons the
-    outstanding envelopes (their shared-memory slots recycle when the dead
-    futures settle), rebuilds the pool, and redispatches the chunks that
-    had not yet been consumed.  A chunk is never resubmitted after its own
-    failure, so a poison chunk that kills every pool it touches converges:
-    each rebuild retires at least one chunk.  The batch digest is
-    unaffected by the failed chunks (:func:`summaries_digest` folds only
-    resolved runs).
+    **Fault isolation.**  A dead child breaks a ``ProcessPoolExecutor``
+    whole: every envelope in flight fails with ``BrokenExecutor``, the
+    innocent ones with the guilty.  The core rebuilds the pool, holds new
+    dispatch, and re-runs each failed envelope *alone* on the fresh pool.
+    An envelope that breaks a pool while alone is halved and the halves
+    re-run alone in turn, until singletons remain; a singleton that breaks
+    a pool alone resolves ``STATUS_FAILED`` ("worker pool died
+    mid-batch").  Execution is deterministic, so which requests fail
+    depends only on the requests, never on scheduling: exactly the ones
+    that kill their worker.  Each alone re-run counts in
+    ``isolation_runs``: one per envelope caught in a pool death, plus
+    about ``2 * log2(envelope size)`` per killer for the halving.  Other
+    executor exceptions (a pickling error, say) are not pool deaths and
+    propagate through the job's future.
     """
-
-    name = "process-pool"
 
     def __init__(
         self,
         workers: int,
+        backend: str = "process",
         warm_plans: Optional[Dict[Hashable, object]] = None,
-        chunk: Optional[int] = None,
-        transport: str = "shm",
     ) -> None:
         if workers < 1:
-            raise ValueError("process pool needs workers >= 1")
+            raise ValueError("worker pool needs workers >= 1")
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; want one of {BACKENDS}"
+            )
         self.workers = workers
-        self.chunk = chunk
-        self._warm_blob = _pickle_plans(warm_plans or {})
-        self._window = 4 * workers
-        self._transport = make_transport(
-            transport, slots=max(2, min(16, self._window))
+        self.backend = backend
+        self._warm_blob = (
+            _pickle_plans(warm_plans or {}) if backend == "process" else b""
         )
-        #: pools rebuilt after mid-batch breakage (chaos gates read this).
+        #: pools rebuilt after breakage (chaos gates read this).
         self.pool_replacements = 0
-        self._pool = self._build_pool()
+        #: envelopes re-run alone to isolate a pool-breaking request.
+        self.isolation_runs = 0
+        self._executor = self._build()
+        self._gen = 0
+        self._inbox: "queue.SimpleQueue[object]" = queue.SimpleQueue()
+        self._waiting: Deque[_Envelope] = deque()
+        self._suspects: Deque[_Envelope] = deque()
+        self._alone: Optional[_Envelope] = None
+        self._running = 0  # normal hops in flight on the current executor
+        self._outstanding = 0  # hops in flight on any executor
+        self._lock = threading.Lock()
+        self._closed = False
+        self._thread = threading.Thread(
+            target=self._dispatch_loop, name="worker-pool", daemon=True
+        )
+        self._thread.start()
 
-    @property
-    def transport_name(self) -> str:
-        return self._transport.name
-
-    def _build_pool(self) -> ProcessPoolExecutor:
+    def _build(self) -> Executor:
+        if self.backend == "thread":
+            return ThreadPoolExecutor(max_workers=self.workers)
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_warm_worker_blob,
             initargs=(self._warm_blob,),
         )
 
-    def _chunk_size(self, batch: int) -> int:
-        if self.chunk is not None:
-            return max(1, self.chunk)
-        return max(1, min(32, -(-batch // (4 * self.workers))))
-
-    def execute(self, requests: Sequence[RunRequest]) -> Iterator[RunSummary]:
-        size = self._chunk_size(len(requests))
-        chunks = [
-            list(requests[i:i + size]) for i in range(0, len(requests), size)
-        ]
-        pending: Deque[Tuple[List[RunRequest], PendingEnvelope]] = deque()
-        next_chunk = 0
-
-        def refill() -> None:
-            nonlocal next_chunk
-            while next_chunk < len(chunks) and len(pending) < self._window:
-                chunk = chunks[next_chunk]
-                pending.append(
-                    (chunk, self._transport.dispatch(self._pool, chunk))
-                )
-                next_chunk += 1
-
-        refill()
-        while pending:
-            chunk, envelope = pending.popleft()
-            try:
-                results = envelope.decode()
-            except BrokenExecutor as exc:
-                for req in chunk:
-                    yield RunSummary(
-                        request=req,
-                        ok=False,
-                        status=STATUS_FAILED,
-                        error=(
-                            f"worker pool died mid-batch: "
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                    )
-                # The dead pool poisons every outstanding future; abandon
-                # the in-flight envelopes, rebuild once and redispatch the
-                # chunks not yet consumed (re-running a chunk is safe —
-                # execution is deterministic and side-effect free).  The
-                # failed chunk itself is retired.
-                resubmit = [c for c, _ in pending]
-                for _, stale in pending:
-                    stale.abandon()
-                pending.clear()
-                self._pool.shutdown(wait=False)
-                self._pool = self._build_pool()
-                self.pool_replacements += 1
-                for c in resubmit:
-                    pending.append(
-                        (c, self._transport.dispatch(self._pool, c))
-                    )
-            else:
-                yield from results
-            refill()
+    def submit(
+        self, requests: Sequence[RunRequest]
+    ) -> "Future[List[RunSummary]]":
+        """Run ``requests`` as one envelope; the future yields summaries."""
+        job = _Job(list(requests))
+        if not job.requests:
+            job.future.set_result([])
+            return job.future
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            self._inbox.put(_Envelope(job, 0, len(job.requests)))
+        return job.future
 
     def close(self) -> None:
-        self._pool.shutdown()
-        self._transport.close()
+        """Finish every submitted job, then shut the executor down."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._inbox.put(_CLOSE)
+        self._thread.join()
+
+    # -- the dispatcher thread ----------------------------------------------
+
+    def _dispatch_loop(self) -> None:
+        closing = False
+        while True:
+            item = self._inbox.get()
+            if item is _CLOSE:
+                closing = True
+            elif isinstance(item, _Envelope):
+                self._waiting.append(item)
+            else:
+                self._settle(*item)  # type: ignore[misc]
+            self._pump()
+            if closing and not (
+                self._waiting or self._suspects or self._outstanding
+            ):
+                break
+        self._executor.shutdown(wait=True)
+
+    def _pump(self) -> None:
+        if self._suspects or self._alone is not None:
+            # Isolating: one suspect at a time, with nothing else in
+            # flight on the pool, and new dispatch held until it is done.
+            if self._alone is None and not self._running:
+                self._alone = self._suspects.popleft()
+                self.isolation_runs += 1
+                self._launch(self._alone)
+            return
+        while self._waiting:
+            self._running += 1
+            self._launch(self._waiting.popleft())
+
+    def _launch(self, env: _Envelope) -> None:
+        env.gen = self._gen
+        self._outstanding += 1
+        try:
+            blob = transport.encode_requests(env.requests)
+            hop = self._executor.submit(transport._run_envelope_bytes, blob)
+        # repro: ignore[RPR006] -- not swallowed: the exception settles
+        # through _settle exactly as a failed hop would (an unencodable
+        # request must not kill the dispatcher thread).
+        except Exception as exc:
+            hop = Future()
+            hop.set_exception(exc)
+        hop.add_done_callback(lambda f: self._inbox.put((env, f)))
+
+    def _settle(self, env: _Envelope, hop: "Future[bytes]") -> None:
+        self._outstanding -= 1
+        alone = env is self._alone
+        current = env.gen == self._gen
+        if alone:
+            self._alone = None
+        elif current:
+            self._running -= 1
+        try:
+            summaries = transport.decode_summaries(hop.result(), env.requests)
+        except BrokenExecutor as exc:
+            if current:
+                self._executor.shutdown(wait=False)
+                self._executor = self._build()
+                self._gen += 1
+                self._running = 0
+                self.pool_replacements += 1
+            if not alone:
+                self._suspects.append(env)
+            elif env.stop - env.start > 1:
+                self._suspects.extendleft(reversed(env.halves()))
+            else:
+                env.job.fill(env.start, [RunSummary(
+                    request=env.requests[0],
+                    ok=False,
+                    status=STATUS_FAILED,
+                    error=(
+                        f"worker pool died mid-batch: "
+                        f"{type(exc).__name__}: {exc}"
+                    ),
+                )])
+        # repro: ignore[RPR006] -- not swallowed: anything but a pool death
+        # is the caller's error and re-raises from the job's future.
+        except Exception as exc:
+            if not env.job.future.done():
+                env.job.future.set_exception(exc)
+        else:
+            env.job.fill(env.start, summaries)
 
 
 @dataclass
@@ -370,9 +476,8 @@ class BatchReport:
     plan_cache_stats: Tuple[int, int, int] = (0, 0, 0)
     #: worker pools rebuilt after mid-batch breakage (0 on a healthy run).
     pool_replacements: int = 0
-    #: envelope transport the pool backend actually used ("shm", "pickle",
-    #: or "" for the sequential backend, which crosses no boundary).
-    transport: str = ""
+    #: envelopes re-run alone to isolate a pool-breaking request.
+    isolation_runs: int = 0
 
     @property
     def ok(self) -> bool:
@@ -427,7 +532,6 @@ class BatchReport:
         return {
             "backend": self.backend,
             "workers": self.workers,
-            "transport": self.transport,
             "ok": self.ok,
             "requests": len(self.summaries),
             "failed": len(self.failures),
@@ -439,6 +543,7 @@ class BatchReport:
             "shared_cache_hit_rate": round(self.shared_cache_hit_rate, 4),
             "unresolved": len(self.unresolved),
             "pool_replacements": self.pool_replacements,
+            "isolation_runs": self.isolation_runs,
             "plan_cache": {
                 "hits": hits,
                 "misses": misses,
@@ -455,12 +560,12 @@ class BatchReport:
 
 
 class BatchService:
-    """The batch-execution front end.
+    """The batch-execution front end: a thin driver over :class:`WorkerPool`.
 
     Args:
         workers: ``0`` or ``1`` selects the in-process
             :class:`SequentialBackend`; ``>= 2`` shards across a
-            :class:`ProcessPoolBackend` of that many workers.
+            :class:`WorkerPool` of that many process workers.
         engine: default engine name stamped on requests that carry
             ``engine=None``.
         warmup: run the structural prefetch pass before sharding (pool
@@ -472,9 +577,9 @@ class BatchService:
             whole batch serially in the parent, so at most this many
             representatives execute up front and the remaining groups start
             cold in the workers.
-        chunk: override the pool backend's chunk size.
-        transport: envelope transport of the pool backend (``"shm"`` or
-            ``"pickle"``; the sequential backend ignores it).
+        chunk: requests per envelope; ``None`` picks ``ceil(batch / (4 *
+            workers))`` capped at 32 — large enough to amortize IPC, small
+            enough to keep the pool balanced and summaries streaming.
     """
 
     def __init__(
@@ -484,7 +589,6 @@ class BatchService:
         warmup: bool = True,
         max_prefetch: int = 32,
         chunk: Optional[int] = None,
-        transport: str = "shm",
     ) -> None:
         if engine not in available_engines():
             raise ValueError(
@@ -496,7 +600,6 @@ class BatchService:
         self.warmup = warmup
         self.max_prefetch = max(0, int(max_prefetch))
         self.chunk = chunk
-        self.transport = transport
 
     # -- internals ----------------------------------------------------------
 
@@ -534,6 +637,25 @@ class BatchService:
                     break
         return picks
 
+    def _pooled(
+        self, core: WorkerPool, requests: List[RunRequest]
+    ) -> Iterator[RunSummary]:
+        """Chunks through ``core`` in a sliding window, summaries in order."""
+        size = self.chunk
+        if size is None:
+            size = min(32, -(-len(requests) // (4 * self.workers)))
+        size = max(1, size)
+        chunks = (
+            requests[i:i + size] for i in range(0, len(requests), size)
+        )
+        window: Deque["Future[List[RunSummary]]"] = deque()
+        for chunk in chunks:
+            window.append(core.submit(chunk))
+            if len(window) >= 4 * self.workers:
+                yield from window.popleft().result()
+        while window:
+            yield from window.popleft().result()
+
     # -- execution ----------------------------------------------------------
 
     def execute(
@@ -543,22 +665,14 @@ class BatchService:
     ) -> Iterator[Tuple[RunRequest, RunSummary]]:
         """Execute a batch, streaming ``(request, summary)`` in order.
 
-        ``_info``, when given, receives warmup accounting (``warmed``,
-        ``prefetch_runs``) — internal plumbing for :meth:`run_batch`.
+        ``_info``, when given, receives warmup and recovery accounting
+        (``warmed``, ``prefetch_runs``, ``pool_replacements``,
+        ``isolation_runs``) — internal plumbing for :meth:`run_batch`.
         """
         stamped = self._stamp(requests)
         if self.workers < 2:
-            backend = SequentialBackend()
-            try:
-                for req, summary in zip(stamped, backend.execute(stamped)):
-                    yield req, summary
-            finally:
-                backend.close()
+            yield from zip(stamped, SequentialBackend().execute(stamped))
             return
-        # Pool path.  The structural prefetch pass runs one representative
-        # per distinct (kind, family, n, algorithm, engine) group in the
-        # parent — real work, its summaries are spliced back into the batch
-        # — then ships the resulting plan-cache snapshot to every worker.
         prefetched: Dict[int, RunSummary] = {}
         warm_plans: Dict[Hashable, object] = {}
         if self.warmup:
@@ -568,26 +682,17 @@ class BatchService:
         if _info is not None:
             _info["warmed"] = len(warm_plans)
             _info["prefetch_runs"] = len(prefetched)
-        backend = ProcessPoolBackend(
-            self.workers,
-            warm_plans=warm_plans,
-            chunk=self.chunk,
-            transport=self.transport,
-        )
-        if _info is not None:
-            _info["transport"] = backend.transport_name
+        core = WorkerPool(self.workers, warm_plans=warm_plans)
         rest = [req for i, req in enumerate(stamped) if i not in prefetched]
         try:
-            pooled = backend.execute(rest)
+            pooled = self._pooled(core, rest)
             for i, req in enumerate(stamped):
-                if i in prefetched:
-                    yield req, prefetched[i]
-                else:
-                    yield req, next(pooled)
+                yield req, prefetched[i] if i in prefetched else next(pooled)
         finally:
+            core.close()
             if _info is not None:
-                _info["pool_replacements"] = backend.pool_replacements
-            backend.close()
+                _info["pool_replacements"] = core.pool_replacements
+                _info["isolation_runs"] = core.isolation_runs
 
     def run_batch(self, requests: Iterable[RunRequest]) -> BatchReport:
         """Execute a batch to completion and aggregate the summaries."""
@@ -598,17 +703,15 @@ class BatchService:
         summaries = [s for _, s in self.execute(requests, _info=info)]
         wall = time.perf_counter() - t0
         hits1, misses1, size1 = pc.stats()
+        pooled = self.workers >= 2
         return BatchReport(
             summaries=summaries,
-            backend=(
-                ProcessPoolBackend.name if self.workers >= 2
-                else SequentialBackend.name
-            ),
-            workers=self.workers if self.workers >= 2 else 1,
+            backend="process-pool" if pooled else SequentialBackend.name,
+            workers=self.workers if pooled else 1,
             wall_s=wall,
             warmed_plans=int(info.get("warmed", 0)),
             prefetch_runs=int(info.get("prefetch_runs", 0)),
             plan_cache_stats=(hits1 - hits0, misses1 - misses0, size1),
             pool_replacements=int(info.get("pool_replacements", 0)),
-            transport=str(info.get("transport", "")),
+            isolation_runs=int(info.get("isolation_runs", 0)),
         )

@@ -10,9 +10,9 @@ behaved:
   ``execute_request``); must resolve as ``STATUS_FAILED``, never as a
   completion, and never enter success percentiles or digests.
 * ``kill`` — the pool worker executing the request SIGKILLs itself,
-  breaking the whole ``ProcessPoolExecutor``; the gateway must replace
-  the pool and keep serving (in-flight collateral fails, later requests
-  complete).
+  breaking the whole ``ProcessPoolExecutor``; the worker pool must
+  replace the pool, isolate the killer (only it fails; the envelopes in
+  flight with it are re-run) and keep serving.
 * ``slow:<ms>`` — a straggler: the worker sleeps before executing, the
   run still completes correctly; p99 must degrade *boundedly*.
 
@@ -27,17 +27,14 @@ Gates (all must hold for exit code 0):
 
 1. **recovered** — after a kill, ``pool_replacements >= 1`` and requests
    submitted after the kill point complete.
-2. **faults contained** — every injected poison/kill request resolves as
-   ``STATUS_FAILED`` (with its latency in the failure histogram only).
+2. **faults contained** — exactly the injected poison/kill requests
+   resolve as ``STATUS_FAILED`` (with their latency in the failure
+   histogram only); no innocent request fails with them.
 3. **digests correct** — the digest over the surviving (completed) runs
    is byte-identical to a sequential re-execution of exactly those
    requests.
 4. **p99 bounded** — success p99 under stragglers stays within
    ``factor * (clean_p99 + straggler_ms) + slack``.
-5. **shm leak free** — the shared-memory transport owns no more live
-   segments after the chaos run than before it: worker kills (which
-   break the pool mid-envelope) must never strand a parent-owned slot.
-   Vacuously true on the pickle transport.
 
 This module's faults live at the *request* level.  The wire-level
 counterpart — latency, jitter, rate caps, mid-frame disconnects,
@@ -74,7 +71,6 @@ from .batch import (
     BatchService,
     requests_from_scenarios,
 )
-from .transport import TRANSPORTS, ShmArena
 
 __all__ = [
     "ChaosFault",
@@ -222,6 +218,7 @@ class ChaosReport:
     p99_chaos_ms: float
     p99_bound_ms: float
     pool_replacements: int
+    isolation_runs: int
     chaos_digest: str
     baseline_digest: str
     stream: Any = None
@@ -239,6 +236,7 @@ class ChaosReport:
             "p99_chaos_ms": round(self.p99_chaos_ms, 3),
             "p99_bound_ms": round(self.p99_bound_ms, 3),
             "pool_replacements": self.pool_replacements,
+            "isolation_runs": self.isolation_runs,
             "chaos_digest": self.chaos_digest,
             "baseline_digest": self.baseline_digest,
             "stream": self.stream.to_dict() if self.stream else None,
@@ -264,7 +262,6 @@ def run_chaos(
     p99_slack_ms: float = 500.0,
     compare_clean: bool = True,
     record: Optional[str] = None,
-    transport: str = "shm",
 ) -> ChaosReport:
     """Drive a fault-laden workload through a live gateway and gate it.
 
@@ -308,14 +305,9 @@ def run_chaos(
             backend=backend,
             queue_cap=cap,
             policy="block",
-            transport=transport,
         )
         p99_clean_ms = clean_report.metrics["latency"]["p99_ms"]
 
-    # Worker kills break the pool while envelopes are in flight through
-    # shared-memory slots — exactly the path that could strand a segment.
-    # Snapshot the live set around the chaos run and gate on it.
-    segments_before = set(ShmArena.live_segments())
     chaos_report = serve(
         plan.requests,
         arrivals,
@@ -325,9 +317,7 @@ def run_chaos(
         queue_cap=cap,
         policy="block",
         record=record,
-        transport=transport,
     )
-    segments_after = set(ShmArena.live_segments())
 
     summaries = chaos_report.summaries
     completed = chaos_report.completed
@@ -360,16 +350,15 @@ def run_chaos(
             not plan.kill_indices
             or (replacements >= 1 and bool(post_kill_completed))
         ),
-        "faults_contained": all(
-            summaries[i].status == STATUS_FAILED for i in plan.fault_indices
-        ),
+        "faults_contained": [
+            i for i, s in enumerate(summaries) if s.status == STATUS_FAILED
+        ] == plan.fault_indices,
         "digests_correct": digest_ok,
         "p99_bounded": (
             not compare_clean
             or not plan.straggler_indices
             or p99_chaos_ms <= p99_bound_ms
         ),
-        "shm_leak_free": segments_after <= segments_before,
     }
     counts = {
         "offered": len(summaries),
@@ -387,6 +376,7 @@ def run_chaos(
         p99_chaos_ms=float(p99_chaos_ms),
         p99_bound_ms=float(p99_bound_ms),
         pool_replacements=int(replacements),
+        isolation_runs=int(chaos_report.metrics["isolation_runs"]),
         chaos_digest=chaos_digest,
         baseline_digest=baseline_digest,
         stream=chaos_report,
@@ -458,13 +448,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--record", default=None, metavar="PATH",
         help="capture the chaos run's traffic for replay/forensics",
     )
-    parser.add_argument(
-        "--transport", default="shm", choices=TRANSPORTS,
-        help=(
-            "gateway envelope transport under fault injection "
-            "(default: shm)"
-        ),
-    )
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
@@ -484,7 +467,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             p99_slack_ms=args.p99_slack_ms,
             compare_clean=not args.no_clean_baseline,
             record=args.record,
-            transport=args.transport,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -499,8 +481,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"({c['kills']} kills, {c['poisons']} poisons, "
             f"{c['stragglers']} stragglers) -> {c['completed']} completed, "
             f"{c['failed']} failed, {report.pool_replacements} pool "
-            f"replacement(s), {c['post_kill_completed']} completions after "
-            f"the last kill"
+            f"replacement(s), {report.isolation_runs} isolation re-run(s), "
+            f"{c['post_kill_completed']} completions after the last kill"
         )
         print(
             f"p99: clean {report.p99_clean_ms:.1f}ms, chaos "

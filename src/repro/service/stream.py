@@ -12,8 +12,8 @@ Architecture::
 
     replay(requests, arrivals)        open-loop arrival clock
         -> StreamGateway.submit()     bounded queue, reject-or-block
-            -> worker tasks (async)   deadline check, dispatch
-                -> Executor pool      execute_request in process/thread
+            -> worker tasks (async)   deadline check, micro-batch
+                -> WorkerPool.submit  one RENV envelope per hop
         <- asyncio.Future[RunSummary] per request, resolved on completion
 
 * **Backpressure.**  The request queue is bounded (``queue_cap``).  Policy
@@ -28,23 +28,22 @@ Architecture::
   result but cannot retract work already submitted to a pool worker — that
   worker finishes the stale run and only then takes new work, exactly the
   slot-occupancy cost a real service pays for late cancellation.
-* **Warm workers.**  The process backend ships the parent's
-  :class:`~repro.core.context.PlanCache` snapshot to every pool worker at
-  start (same ``snapshot()/warm()`` machinery as the batch service), and
-  :func:`structural_warmup` pre-populates the parent cache from one
-  representative request per distinct structural group.  The thread
-  backend shares the process-wide plan cache outright — it exists for
-  environments where process pools are unavailable (restricted sandboxes,
-  embedded interpreters); the GIL serializes pure-Python execution, so it
-  trades throughput for portability.
+* **One execution core.**  Every hop goes through the same
+  :class:`~repro.service.batch.WorkerPool` the batch service drives: the
+  process backend warms its workers from the parent's
+  :class:`~repro.core.context.PlanCache` snapshot
+  (:func:`structural_warmup` pre-populates it from one representative
+  request per distinct structural group), and a worker killed mid-hop
+  fails only the request that killed it.  The thread backend shares the
+  process-wide plan cache outright — it exists for environments where
+  process pools are unavailable (restricted sandboxes, embedded
+  interpreters); the GIL serializes pure-Python execution, so it trades
+  throughput for portability.
 * **Metrics.**  :class:`StreamMetrics` records latency/queue-wait/service
   histograms (:class:`~repro.core.metrics.LatencyHistogram`), status
   counters and queue-depth extrema; :class:`StreamReport` rolls them up
   with the order-independent digest shared with the batch service, so
   "streaming == batch == sequential" is a one-line comparison.
-* **Zero-copy transport.**  The process backend ships work as columnar
-  envelopes (:mod:`repro.service.transport`) — shared-memory slots by
-  default, pickle-bytes fallback — instead of per-object pickles.
 * **Micro-batching.**  Dispatchers can coalesce up to K queued requests
   (or wait T ms for batch-mates, whichever first; K adapts to observed
   queue depth) into one executor hop.  Off by default (K=1): coalescing
@@ -71,12 +70,6 @@ import asyncio
 import json
 import sys
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -93,21 +86,16 @@ from ..core.engine import (
 from ..core.metrics import LatencyHistogram
 from ..scenarios.generators import DEFAULT_MIX, arrival_times, mixed_batch
 from .batch import (
+    BACKENDS,
     CHAOS_TAG_PREFIX,
     BatchService,
-    _pickle_plans,
-    _warm_worker_blob,
+    WorkerPool,
     execute_request,
     requests_from_scenarios,
     structural_key,
     summaries_digest,
 )
-from .transport import (
-    TRANSPORTS,
-    AutoscalePolicy,
-    PendingEnvelope,
-    make_transport,
-)
+from .transport import AutoscalePolicy
 
 __all__ = [
     "STATUS_CANCELLED",
@@ -123,7 +111,6 @@ __all__ = [
     "structural_warmup",
 ]
 
-BACKENDS = ("process", "thread")
 POLICIES = ("reject", "block")
 
 #: In-band scale-down sentinel: a dispatcher that dequeues it finishes
@@ -140,15 +127,6 @@ def _swallow_task_result(task: "asyncio.Future[object]") -> None:
         task.exception()
     except asyncio.CancelledError:
         pass
-
-
-def _run_tickets(requests: List[RunRequest]) -> List[RunSummary]:
-    """Thread-backend batch entry: one executor hop for a micro-batch.
-
-    Resolves ``execute_request`` through the module global at call time
-    (not at dispatch-closure creation), so it tracks monkeypatching.
-    """
-    return [execute_request(r) for r in requests]
 
 
 def structural_warmup(
@@ -203,6 +181,8 @@ class StreamMetrics:
         self.failed = 0
         #: executor pools rebuilt after breakage (chaos recovery gate).
         self.pool_replacements = 0
+        #: envelopes re-run alone to isolate a pool-breaking request.
+        self.isolation_runs = 0
         #: autoscaler decisions (dispatcher tasks spawned / retired).
         self.scale_ups = 0
         self.scale_downs = 0
@@ -252,6 +232,7 @@ class StreamMetrics:
             "cancelled": self.cancelled,
             "failed": self.failed,
             "pool_replacements": self.pool_replacements,
+            "isolation_runs": self.isolation_runs,
             "scale_ups": self.scale_ups,
             "scale_downs": self.scale_downs,
             "queue_depth_max": self.queue_depth_max,
@@ -273,25 +254,21 @@ class _Ticket:
 
 
 class StreamGateway:
-    """Long-lived asyncio front end over a warm executor pool.
+    """Long-lived asyncio front end over a :class:`WorkerPool`.
 
     Args:
         workers: concurrent in-flight executions (async worker tasks, and
-            the executor pool size).
+            the worker pool size).
         engine: default engine name stamped on requests with
             ``engine=None``.
-        backend: ``"process"`` (a ``ProcessPoolExecutor`` with plan-cache
-            warm workers — the throughput configuration) or ``"thread"``
-            (portable, GIL-serialized).
+        backend: ``"process"`` (plan-cache warm process workers — the
+            throughput configuration) or ``"thread"`` (portable,
+            GIL-serialized).
         queue_cap: bound on the request queue — the backpressure knob.
         policy: ``"reject"`` (shed load when the queue is full) or
             ``"block"`` (make ``submit`` await space).
         deadline_ms: default per-request latency budget; a request's own
             ``deadline_ms`` wins.  ``None`` means no deadline.
-        transport: envelope transport of the process backend — ``"shm"``
-            (shared-memory slots, auto-degrading to pickle) or
-            ``"pickle"``.  The thread backend crosses no process boundary
-            and ignores it.
         micro_batch: max requests a dispatcher coalesces into one executor
             hop.  ``1`` (default) dispatches per request — micro-batching
             widens the window between a request starting and its deadline
@@ -318,7 +295,6 @@ class StreamGateway:
         queue_cap: int = 64,
         policy: str = "reject",
         deadline_ms: Optional[float] = None,
-        transport: str = "shm",
         micro_batch: int = 1,
         micro_batch_ms: float = 2.0,
         autoscale: bool = False,
@@ -337,10 +313,6 @@ class StreamGateway:
             raise ValueError(
                 f"unknown policy {policy!r}; want one of {POLICIES}"
             )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; want one of {TRANSPORTS}"
-            )
         if workers < 1:
             raise ValueError("stream gateway needs workers >= 1")
         if queue_cap < 1:
@@ -353,7 +325,6 @@ class StreamGateway:
         self.queue_cap = int(queue_cap)
         self.policy = policy
         self.deadline_ms = deadline_ms
-        self.transport = transport
         self.micro_batch = int(micro_batch)
         self.micro_batch_ms = float(micro_batch_ms)
         self.autoscale = autoscale
@@ -362,17 +333,10 @@ class StreamGateway:
         )
         self.metrics = StreamMetrics()
         self._queue: Optional["asyncio.Queue[object]"] = None
-        self._pool: Optional[Executor] = None
-        self._transport = None
-        self._warm_blob = b""
+        self._core: Optional[WorkerPool] = None
         self._tasks: List["asyncio.Task[None]"] = []
         self._sampler: Optional["asyncio.Task[None]"] = None
         self._closed = False
-
-    @property
-    def transport_name(self) -> str:
-        """The transport actually in use ("" for the thread backend)."""
-        return self._transport.name if self._transport is not None else ""
 
     @property
     def queue_depth(self) -> int:
@@ -388,23 +352,24 @@ class StreamGateway:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "StreamGateway":
-        """Build the executor pool and spawn the worker tasks."""
-        if self._pool is not None:
-            raise RuntimeError("gateway already started")
+        """Build the worker pool and spawn the worker tasks."""
         if self._closed:
             # A closed gateway never accepts submissions again; starting a
             # pool for it would leak processes and tasks.  One gateway, one
             # lifecycle.
             raise RuntimeError("gateway already closed; build a new one")
-        if self.backend == "process":
-            # Snapshot + pickle the warm plans ONCE; every pool this
-            # gateway ever builds — including rebuilds after breakage —
-            # reuses the same initializer blob.
-            self._warm_blob = _pickle_plans(plan_cache().snapshot())
-            self._transport = make_transport(
-                self.transport, slots=max(2, min(16, 2 * self.workers))
-            )
-        self._pool = self._build_pool()
+        if self._core is not None:
+            raise RuntimeError("gateway already started")
+        # Process workers warm from whatever structural_warmup and earlier
+        # runs left in the parent cache; threads share that cache outright.
+        # The pool is sized for the autoscale maximum.
+        self._core = WorkerPool(
+            self.workers,
+            self.backend,
+            warm_plans=(
+                plan_cache().snapshot() if self.backend == "process" else None
+            ),
+        )
         self._queue = asyncio.Queue(maxsize=self.queue_cap)
         dispatchers = (
             self._policy.workers if self.autoscale else self.workers
@@ -418,20 +383,6 @@ class StreamGateway:
                 self._autoscale_sampler(), name="stream-autoscaler"
             )
         return self
-
-    def _build_pool(self) -> Executor:
-        if self.backend == "process":
-            # Warm every pool worker from the parent's plan-cache snapshot
-            # (whatever structural_warmup / earlier runs left resident).
-            # Workers spawn lazily, so sizing the pool for the autoscale
-            # maximum costs nothing until dispatchers actually scale up.
-            return ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_warm_worker_blob,
-                initargs=(self._warm_blob,),
-            )
-        # Threads share the process-wide plan cache; no shipping needed.
-        return ThreadPoolExecutor(max_workers=self.workers)
 
     async def _autoscale_sampler(self) -> None:
         """Feed queue depth to the policy; apply its spawn/retire verdicts."""
@@ -458,25 +409,6 @@ class StreamGateway:
                     # between sample and verdict) — the pressure reading
                     # is stale, revoke the decision.
                     self._policy.workers += 1
-
-    def _replace_pool(self, broken: Executor) -> None:
-        """Swap a broken executor pool for a fresh warm one.
-
-        A dead pool child breaks the whole ``ProcessPoolExecutor``: every
-        in-flight and future submission raises ``BrokenExecutor``.  The
-        in-flight requests are already lost (their workers fail them as
-        :data:`STATUS_FAILED`), but the gateway itself must outlive the
-        pool — a long-lived service cannot answer every request after one
-        crash with "broken pool".  Guarded by identity: several worker
-        tasks observe the same breakage in the same event-loop iteration,
-        and only the first one rebuilds (no awaits between check and swap,
-        so the check cannot interleave).
-        """
-        if self._closed or self._pool is not broken:
-            return
-        broken.shutdown(wait=False)
-        self._pool = self._build_pool()
-        self.metrics.pool_replacements += 1
 
     async def drain(self) -> None:
         """Wait until every enqueued request has been resolved."""
@@ -538,12 +470,9 @@ class StreamGateway:
         # it, but only if it has run yet — sweep here as well so close()
         # never leaves an unresolvable ticket behind.
         self._resolve_stragglers()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
+        if self._core is not None:
+            self._core.close()
+            self._sync_pool_metrics()
 
     async def __aenter__(self) -> "StreamGateway":
         return await self.start()
@@ -694,7 +623,9 @@ class StreamGateway:
         ``micro_batch=1`` default *is* per-request dispatch): queued-
         deadline expiry is checked per ticket before the hop, mid-run
         deadlines are enforced per ticket against the shared hop, and an
-        executor failure fails every non-abandoned ticket in the batch.
+        executor failure (anything but a pool death, which the worker pool
+        isolates to the killing request) fails every non-abandoned ticket
+        in the batch.
         """
         now = time.perf_counter()
         live: List[_Ticket] = []
@@ -722,17 +653,10 @@ class StreamGateway:
         if not live:
             return
 
-        pool = self._pool
-        requests = [t.request for t in live]
-        envelope: Optional[PendingEnvelope] = None
-        if self.backend == "process" and self._transport is not None:
-            envelope = self._transport.dispatch(pool, requests)
-            task: "asyncio.Future[object]" = asyncio.wrap_future(
-                envelope.future
-            )
-        else:
-            loop = asyncio.get_running_loop()
-            task = loop.run_in_executor(pool, _run_tickets, requests)
+        assert self._core is not None
+        task = asyncio.wrap_future(
+            self._core.submit([t.request for t in live])
+        )
 
         # Enforce mid-run deadlines per ticket, soonest first.  The hop is
         # shared, so a timed-out ticket abandons its *result*, never the
@@ -779,44 +703,35 @@ class StreamGateway:
 
         if len(abandoned) == len(live) and not task.done():
             # Nobody is waiting for this hop anymore.  Don't: the
-            # dispatcher is worth more than the stale result.  The
-            # envelope's slot recycles (and the exception, if any, is
-            # consumed) when the hop eventually settles.
-            if envelope is not None:
-                envelope.abandon()
+            # dispatcher is worth more than the stale result.
             task.add_done_callback(_swallow_task_result)
             return
 
         try:
-            raw = await task
+            summaries = await task
         except Exception as exc:
-            # Infrastructure failure (e.g. BrokenProcessPool after a pool
-            # child is OOM-killed, pickling errors).  Every non-abandoned
+            # Infrastructure failure (a pickling error, say; the worker
+            # pool absorbs pool deaths itself).  Every non-abandoned
             # ticket MUST still resolve — an unresolved future deadlocks
             # serve().  The runs are FAILED, not completed: they produced
             # no result, and mislabeling them would poison digests and
             # percentiles.
-            if envelope is not None:
-                envelope.abandon()
-            for ticket in live:
-                if id(ticket) in abandoned:
-                    continue
-                self._resolve(ticket, RunSummary(
-                    request=ticket.request,
+            summaries = [
+                RunSummary(
+                    request=t.request,
                     ok=False,
                     status=STATUS_FAILED,
-                    latency_s=time.perf_counter() - ticket.enqueued_at,
                     error=f"executor failure: {type(exc).__name__}: {exc}",
-                ))
-            if isinstance(exc, BrokenExecutor):
-                self._replace_pool(pool)
-            return
+                )
+                for t in live
+            ]
+        finally:
+            self._sync_pool_metrics()
 
-        summaries = envelope.decode() if envelope is not None else raw
-        # execute_request stamps STATUS_FAILED on runs that crashed inside
-        # the worker (poison requests, resolution errors); everything else
-        # ran to a judged end.  Preserve the failure label — the gateway
-        # only adds its own timing.
+        # execute_request and the worker pool stamp STATUS_FAILED on runs
+        # that crashed (poison requests, resolution errors, a worker the
+        # request killed); everything else ran to a judged end.  Preserve
+        # the failure label — the gateway only adds its own timing.
         for ticket, summary in zip(live, summaries):
             if id(ticket) in abandoned:
                 continue
@@ -830,6 +745,11 @@ class StreamGateway:
                 queue_s=waited[id(ticket)],
                 latency_s=time.perf_counter() - ticket.enqueued_at,
             ))
+
+    def _sync_pool_metrics(self) -> None:
+        assert self._core is not None
+        self.metrics.pool_replacements = self._core.pool_replacements
+        self.metrics.isolation_runs = self._core.isolation_runs
 
 
 async def replay(
@@ -875,8 +795,6 @@ class StreamReport:
     deadline_ms: Optional[float]
     engine: str
     metrics: Dict[str, object] = field(default_factory=dict)
-    #: envelope transport the gateway used ("" for the thread backend).
-    transport: str = ""
 
     @property
     def completed(self) -> List[RunSummary]:
@@ -928,7 +846,6 @@ class StreamReport:
         return {
             "backend": self.backend,
             "workers": self.workers,
-            "transport": self.transport,
             "queue_cap": self.queue_cap,
             "policy": self.policy,
             "deadline_ms": self.deadline_ms,
@@ -960,7 +877,6 @@ def serve(
     queue_cap: int = 64,
     policy: str = "reject",
     deadline_ms: Optional[float] = None,
-    transport: str = "shm",
     micro_batch: int = 1,
     autoscale: bool = False,
     autoscale_policy: Optional[AutoscalePolicy] = None,
@@ -1002,7 +918,6 @@ def serve(
                     "queue_cap": queue_cap,
                     "policy": policy,
                     "deadline_ms": deadline_ms,
-                    "transport": transport if backend == "process" else "",
                 },
             )
         gateway = StreamGateway(
@@ -1012,14 +927,12 @@ def serve(
             queue_cap=queue_cap,
             policy=policy,
             deadline_ms=deadline_ms,
-            transport=transport,
             micro_batch=micro_batch,
             autoscale=autoscale,
             autoscale_policy=autoscale_policy,
         )
         try:
             async with gateway:
-                used_transport = gateway.transport_name
                 front = (
                     gateway if recorder is None else recorder.attach(gateway)
                 )
@@ -1043,7 +956,6 @@ def serve(
             deadline_ms=deadline_ms,
             engine=engine,
             metrics=gateway.metrics.to_dict(),
-            transport=used_transport,
         )
 
     return asyncio.run(_main())
@@ -1136,14 +1048,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="executor backend (default: process)",
     )
     parser.add_argument(
-        "--transport", default="shm", choices=TRANSPORTS,
-        help=(
-            "envelope transport of the process backend: shm (shared-memory "
-            "slots, auto-degrading to pickle where unavailable) or pickle "
-            "(default: shm)"
-        ),
-    )
-    parser.add_argument(
         "--micro-batch", type=int, default=1, metavar="K",
         help=(
             "coalesce up to K queued requests into one executor hop, "
@@ -1224,7 +1128,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         queue_cap=args.queue_cap,
         policy=args.policy,
         deadline_ms=args.deadline_ms,
-        transport=args.transport,
         micro_batch=args.micro_batch,
         autoscale=args.autoscale,
         warmup=not args.no_warmup,

@@ -1,10 +1,10 @@
 """Chaos harness: fault transport, containment, recovery, digest parity.
 
-The ISSUE 6 gates in test form: poison requests resolve as failed (never
-completed), a SIGKILLed pool worker breaks neither the gateway nor the
-batch service (pool replaced, judged summaries still reported), and the
-digests over surviving runs stay byte-identical to a sequential
-re-execution.
+Poison requests resolve as failed (never completed), a SIGKILLed pool
+worker breaks neither the gateway nor the batch service (pool replaced,
+judged summaries still reported), fault isolation fails exactly the
+killers whatever the scheduling, and the digests over surviving runs stay
+byte-identical to a sequential re-execution.
 """
 
 import time
@@ -25,10 +25,10 @@ from repro.service import (
     requests_from_scenarios,
     run_chaos,
     serve,
+    summaries_digest,
 )
 from repro.service.chaos import main as chaos_main
 from repro.service.stream import structural_warmup
-from repro.service.transport import ShmArena
 
 SMALL_SIZES = dict(
     routing_sizes=(16,), sorting_sizes=(16,), multiplex_sizes=(16,)
@@ -195,23 +195,62 @@ def test_run_chaos_gates_pass_with_worker_kill():
     assert doc["ok"] is True
     assert set(doc["gates"]) == {
         "recovered", "faults_contained", "digests_correct", "p99_bounded",
-        "shm_leak_free",
     }
-    assert doc["gates"]["shm_leak_free"] is True
+    assert doc["isolation_runs"] >= 1
 
 
-def test_worker_kill_leaks_no_shm_segments():
-    """A SIGKILLed worker must not strand shared-memory segments: slots are
-    parent-owned, so the dead child can at worst leave a slot marked in-use
-    until the envelope is abandoned — never an unlinked-but-live segment."""
-    before = set(ShmArena.live_segments())
-    requests = _requests(8, seed0=31)
-    requests[2] = inject(requests[2], "kill")
-    service = BatchService(workers=2, warmup=False, chunk=2, transport="shm")
-    report = service.run_batch(requests)
-    assert report.pool_replacements >= 1  # the kill actually landed
-    after = set(ShmArena.live_segments())
-    assert after <= before, f"leaked shm segments: {sorted(after - before)}"
+# -- deterministic fault isolation --------------------------------------------
+
+#: trials per isolation test: the failed set must not depend on timing.
+ISOLATION_TRIALS = 5
+
+
+def _failed_indices(summaries):
+    return {i for i, s in enumerate(summaries) if s.status == STATUS_FAILED}
+
+
+def _assert_survivors_match_sequential(completed):
+    baseline = BatchService(workers=0).run_batch(
+        [s.request for s in completed]
+    )
+    assert baseline.ok
+    assert baseline.batch_digest() == summaries_digest(completed)
+
+
+def test_batch_isolation_fails_exactly_the_killers():
+    """Two killers in 2-request chunks: only the killers fail, in every
+    trial, whatever else shared an envelope or a pool with them."""
+    requests = _requests(10, seed0=70)
+    requests[1] = inject(requests[1], "kill")
+    requests[9] = inject(requests[9], "kill")
+    for _ in range(ISOLATION_TRIALS):
+        report = BatchService(workers=2, warmup=False, chunk=2).run_batch(
+            requests
+        )
+        assert _failed_indices(report.summaries) == {1, 9}
+        for i in (1, 9):
+            assert "worker pool died mid-batch" in report.summaries[i].error
+        assert report.pool_replacements >= 2
+        assert report.isolation_runs >= 2
+        _assert_survivors_match_sequential(
+            [s for s in report.summaries if s.resolved]
+        )
+
+
+def test_stream_isolation_fails_exactly_the_killers():
+    """The same contract through the gateway with micro-batched hops."""
+    requests = _requests(16, seed0=300)
+    requests[3] = inject(requests[3], "kill")
+    requests[11] = inject(requests[11], "kill")
+    for _ in range(ISOLATION_TRIALS):
+        report = serve(
+            requests, [0.0] * 16, workers=2, backend="process",
+            policy="block", micro_batch=4, warmup=False,
+        )
+        assert _failed_indices(report.summaries) == {3, 11}
+        assert len(report.completed) == 14
+        assert report.metrics["isolation_runs"] >= 2
+        _assert_survivors_match_sequential(report.completed)
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ backend, and plain ``engine.execute`` runs.
 
 import json
 import pickle
+import struct
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.scenarios.generators import DEFAULT_MIX
 from repro.scenarios.runner import ALGORITHMS, default_algorithm
 from repro.service import (
     BatchService,
-    ProcessPoolBackend,
+    WorkerPool,
     execute_request,
     requests_from_scenarios,
 )
@@ -170,8 +171,30 @@ def test_prefetch_pass_is_capped():
 
 
 def test_process_pool_backend_rejects_zero_workers():
-    with pytest.raises(ValueError):
-        ProcessPoolBackend(0)
+    with pytest.raises(ValueError, match="workers >= 1"):
+        WorkerPool(0)
+    with pytest.raises(ValueError, match="unknown backend"):
+        WorkerPool(1, backend="fiber")
+
+
+def test_worker_pool_surfaces_unencodable_requests_and_keeps_serving():
+    """An error before the hop (here: a seed no envelope column can hold)
+    re-raises from that submit's future; the dispatcher thread survives
+    to serve the next submit and to close cleanly."""
+    good = _requests(2)
+    bad = RunRequest(kind="routing", family="balanced", n=16, seed=2 ** 70)
+    pool = WorkerPool(1, backend="thread")
+    try:
+        with pytest.raises(struct.error):
+            pool.submit([bad]).result(timeout=60)
+        summaries = pool.submit(good).result(timeout=60)
+        assert [s.request for s in summaries] == good
+        assert all(s.ok for s in summaries)
+        assert pool.submit([]).result(timeout=60) == []
+    finally:
+        pool.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        pool.submit(good)
 
 
 # -- workload mix feed -------------------------------------------------------

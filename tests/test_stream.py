@@ -341,14 +341,14 @@ def test_close_resolves_submitter_blocked_in_full_queue(sleepy_algorithm):
 
 
 def test_executor_failure_resolves_ticket_instead_of_deadlocking(monkeypatch):
-    """An exception escaping the executor (e.g. BrokenProcessPool after an
-    OOM-killed pool child) must resolve the ticket as a failed run — an
-    unresolved future would hang serve() forever — and leave the worker
-    alive for subsequent requests.
+    """An exception escaping the executor hop (anything but a pool death,
+    which the worker pool isolates) must resolve the ticket as a failed
+    run — an unresolved future would hang serve() forever — and leave the
+    worker alive for subsequent requests.
     """
-    import repro.service.stream as stream_mod
+    import repro.service.batch as batch_mod
 
-    real = stream_mod.execute_request
+    real = batch_mod.execute_request
     calls = {"n": 0}
 
     def flaky(req):
@@ -357,7 +357,7 @@ def test_executor_failure_resolves_ticket_instead_of_deadlocking(monkeypatch):
             raise RuntimeError("simulated pool crash")
         return real(req)
 
-    monkeypatch.setattr(stream_mod, "execute_request", flaky)
+    monkeypatch.setattr(batch_mod, "execute_request", flaky)
     requests = _requests(2)
     report = serve(
         requests, [0.0, 0.0], workers=1, backend="thread", warmup=False
@@ -384,16 +384,16 @@ def test_executor_failure_resolves_ticket_instead_of_deadlocking(monkeypatch):
 def test_failed_runs_excluded_from_success_latency(monkeypatch):
     """Fast crashes must not drag success percentiles down: failure
     latency is tracked in its own histogram."""
-    import repro.service.stream as stream_mod
+    import repro.service.batch as batch_mod
 
-    real = stream_mod.execute_request
+    real = batch_mod.execute_request
 
     def crash_odd(req):
         if req.seed % 2:
             raise RuntimeError("boom")
         return real(req)
 
-    monkeypatch.setattr(stream_mod, "execute_request", crash_odd)
+    monkeypatch.setattr(batch_mod, "execute_request", crash_odd)
     requests = _requests(6)  # seeds 500..505 -> 3 crashes
     report = serve(
         requests, [0.0] * 6, workers=1, backend="thread", warmup=False

@@ -1,12 +1,11 @@
-"""Zero-copy transport: envelope codec properties, shm arena, autoscaler.
+"""Envelope transport: codec properties, pool parity, autoscaler.
 
-The ISSUE 7 satellites in test form: a hypothesis property suite over the
-columnar envelope round trip (chaos tags, unset deadlines, failed and
-digestless summaries included), digest parity between the shm transport,
-the pickle transport and the in-process sequential backend on a
-256-instance mixed batch, the slot-arena lifecycle, the pure autoscaler
-decision rule, the PlanCache snapshot pickled-once regression, and
-capture parity across transports.
+A hypothesis property suite over the columnar envelope round trip (chaos
+tags, unset deadlines, failed and digestless summaries included), digest
+parity between the worker pool and the in-process sequential backend on a
+256-instance mixed batch, the pure autoscaler decision rule, the
+PlanCache snapshot pickled-once regression, and capture parity across
+backends.
 """
 
 import pytest
@@ -26,13 +25,10 @@ from repro.service import batch as batch_mod
 from repro.service.recording import Recorder, load_capture
 from repro.service.transport import (
     AutoscalePolicy,
-    PickleTransport,
-    ShmArena,
     decode_requests,
     decode_summaries,
     encode_requests,
     encode_summaries,
-    make_transport,
 )
 
 SMALL_SIZES = dict(
@@ -151,77 +147,24 @@ def test_failed_digestless_summaries_round_trip():
     assert all(not s.resolved for s in decoded)
 
 
-# -- transport digest parity (the acceptance batch) ---------------------------
+# -- pool digest parity (the acceptance batch) --------------------------------
 
 
-def test_shm_pickle_and_inprocess_digests_match_on_256_mixed():
+def test_pool_and_inprocess_digests_match_on_256_mixed():
     """The headline parity gate: the same 256-instance mixed batch must
-    produce byte-identical digests through the shm transport, the pickle
-    transport and the in-process sequential backend."""
+    produce byte-identical digests through the worker pool's envelope hop
+    and the in-process sequential backend."""
     requests = _requests(256, seed0=0)
     sequential = BatchService(workers=0).run_batch(requests)
     assert sequential.ok
 
-    reports = {}
-    for transport in ("shm", "pickle"):
-        report = BatchService(
-            workers=2, warmup=False, transport=transport
-        ).run_batch(requests)
-        assert report.ok, report.failures[:3]
-        assert report.transport == transport
-        reports[transport] = report
-
-    assert (
-        reports["shm"].batch_digest()
-        == reports["pickle"].batch_digest()
-        == sequential.batch_digest()
-    )
-    seq_digests = [s.digest for s in sequential.summaries]
-    for report in reports.values():
-        assert [s.digest for s in report.summaries] == seq_digests
-
-
-# -- shm arena lifecycle ------------------------------------------------------
-
-
-def test_arena_slot_lifecycle_and_leak_accounting():
-    before = set(ShmArena.live_segments())
-    arena = ShmArena(slots=2, slot_bytes=4096)
-    try:
-        created = set(ShmArena.live_segments()) - before
-        assert len(created) == 2
-
-        a = arena.acquire(1024)
-        b = arena.acquire(1024)
-        assert a is not None and b is not None
-        assert arena.acquire(1024) is None  # exhausted -> caller falls back
-        arena.release(a)
-        c = arena.acquire(1024)
-        assert c is not None  # released slots are reusable
-        arena.release(b)
-        arena.release(c)
-        arena.release(c)  # release is idempotent
-
-        assert arena.acquire(len(a.shm.buf) + 1) is None  # oversized payload
-    finally:
-        arena.close()
-    assert set(ShmArena.live_segments()) == before
-    arena.close()  # close is idempotent
-
-
-def test_make_transport_names_and_validation():
-    shm = make_transport("shm", slots=2, slot_bytes=4096)
-    try:
-        assert shm.name in ("shm", "pickle")  # pickle iff shm unavailable
-        if shm.name == "pickle":
-            assert "shared memory unavailable" in shm.fallback_reason
-    finally:
-        shm.close()
-    pkl = make_transport("pickle")
-    assert isinstance(pkl, PickleTransport)
-    pkl.close()
-    with pytest.raises(ValueError, match="unknown transport"):
-        make_transport("carrier-pigeon")
+    pooled = BatchService(workers=2, warmup=False).run_batch(requests)
+    assert pooled.ok, pooled.failures[:3]
+    assert pooled.backend == "process-pool"
+    assert pooled.batch_digest() == sequential.batch_digest()
+    assert [s.digest for s in pooled.summaries] == [
+        s.digest for s in sequential.summaries
+    ]
 
 
 # -- autoscaler policy --------------------------------------------------------
@@ -303,24 +246,39 @@ def test_plan_snapshot_pickled_once_across_pool_respawns(monkeypatch):
     )
 
 
-# -- capture parity across transports -----------------------------------------
+# -- capture parity across backends -------------------------------------------
 
 
-def test_captures_identical_across_transports(tmp_path):
+def test_captures_identical_across_backends(tmp_path):
     requests = _requests(8, seed0=55)
     captures = {}
-    for transport in ("shm", "pickle"):
-        path = str(tmp_path / f"capture-{transport}.jsonl")
-        service = BatchService(workers=2, warmup=False, transport=transport)
-        with Recorder(path, meta={"transport": transport}) as recorder:
+    for workers in (0, 2):
+        path = str(tmp_path / f"capture-{workers}.jsonl")
+        service = BatchService(workers=workers, warmup=False)
+        with Recorder(path, meta={"workers": workers}) as recorder:
             report = recorder.record_batch(service, requests)
         assert report.ok
-        captures[transport] = load_capture(path)
+        captures[workers] = load_capture(path)
 
-    shm, pkl = captures["shm"], captures["pickle"]
-    assert shm.requests == pkl.requests == requests
-    assert shm.statuses() == pkl.statuses()
-    assert shm.capture_digest() == pkl.capture_digest()
-    assert [s.digest for s in shm.resolved_summaries()] == [
-        s.digest for s in pkl.resolved_summaries()
+    seq, pooled = captures[0], captures[2]
+    assert seq.requests == pooled.requests == requests
+    assert seq.statuses() == pooled.statuses()
+    assert seq.capture_digest() == pooled.capture_digest()
+    assert [s.digest for s in seq.resolved_summaries()] == [
+        s.digest for s in pooled.resolved_summaries()
+    ]
+
+
+def test_capture_with_legacy_transport_meta_loads(tmp_path):
+    """Captures written while the CLIs still had ``--transport`` carry a
+    ``transport`` key in their meta; they must keep loading."""
+    requests = _requests(3, seed0=56)
+    path = str(tmp_path / "legacy.jsonl")
+    with Recorder(path, meta={"source": "batch", "transport": "shm"}) as rec:
+        report = rec.record_batch(BatchService(workers=0), requests)
+    capture = load_capture(path)
+    assert capture.meta["transport"] == "shm"
+    assert capture.requests == requests
+    assert [s.digest for s in capture.resolved_summaries()] == [
+        s.digest for s in report.summaries
     ]
