@@ -443,10 +443,9 @@ def bursty_arrivals(
 
     Within a burst, requests arrive back to back at ``rate`` per second;
     between bursts the stream goes quiet for ``idle_s`` seconds (jittered
-    ±25% so gaps are not phase-locked with any poller).  This is the
-    autoscaler's native workload: queue depth spikes during a burst
-    (scale-up trigger) and drains to zero in the gap (scale-down
-    trigger).  Deterministic in ``(rate, count, burst, idle_s, seed)``.
+    ±25% so gaps are not phase-locked with any poller): queue depth
+    spikes during a burst and drains to zero in the gap.  Deterministic
+    in ``(rate, count, burst, idle_s, seed)``.
     """
     if rate <= 0:
         raise ValueError(f"bursty arrivals need rate > 0, got {rate}")

@@ -27,7 +27,7 @@ Two operational companions ride on the same envelopes:
   requests, stragglers) against live gateways, gated on recovery,
   digest correctness, and bounded p99.
 * :mod:`repro.service.transport` — the columnar envelope codec every
-  executor hop and network frame carries, and the autoscaler policy.
+  executor hop and network frame carries.
 * :mod:`repro.service.net` — the networked front end: a versioned
   length-prefixed binary protocol over TCP whose payloads are the
   transport's columnar envelopes; asyncio server fronting the stream
@@ -103,7 +103,6 @@ _NET_EXPORTS = (
 )
 
 _TRANSPORT_EXPORTS = (
-    "AutoscalePolicy",
     "decode_requests",
     "decode_summaries",
     "encode_requests",

@@ -71,12 +71,19 @@ __all__ = [
     "execute_request",
     "requests_from_scenarios",
     "structural_key",
+    "structural_representatives",
     "summaries_digest",
 ]
 
 #: Tag prefix that routes a request through the chaos fault injector
 #: (:mod:`repro.service.chaos`) before execution.
 CHAOS_TAG_PREFIX = "chaos:"
+
+#: Cap on the batch prefetch pass: a batch sweeping many distinct
+#: structures (every request its own group) runs at most this many
+#: representatives in the parent; the other groups start cold in the
+#: workers.
+MAX_PREFETCH = 32
 
 
 def summaries_digest(summaries: Iterable[RunSummary]) -> str:
@@ -129,6 +136,31 @@ def structural_key(req: RunRequest) -> Tuple:
     the two regimes can never disagree on what counts as warm.
     """
     return (req.kind, req.family, req.n, req.algorithm, req.engine)
+
+
+def structural_representatives(
+    requests: Sequence[RunRequest], cap: int
+) -> List[int]:
+    """Index of the first request of every distinct structural group.
+
+    At most ``cap`` indices, in request order.  The batch prefetch pass
+    and the stream's ``structural_warmup`` both run these picks in the
+    parent process, so chaos-tagged requests are never picked: a fault
+    (worst case ``chaos:kill``) must only ever fire behind the executor
+    boundary, in a disposable pool worker.
+    """
+    seen = set()
+    picks: List[int] = []
+    for i, req in enumerate(requests):
+        if len(picks) >= cap:
+            break
+        if req.tag.startswith(CHAOS_TAG_PREFIX):
+            continue
+        key = structural_key(req)
+        if key not in seen:
+            seen.add(key)
+            picks.append(i)
+    return picks
 
 
 #: Shared runner for request execution (stateless between runs: every
@@ -571,12 +603,6 @@ class BatchService:
         warmup: run the structural prefetch pass before sharding (pool
             backend only; the sequential backend warms its own cache as a
             side effect of running).
-        max_prefetch: cap on prefetch runs.  Warmup is best-effort
-            amortization: a batch sweeping many distinct structures (every
-            request its own group) must not degenerate into running the
-            whole batch serially in the parent, so at most this many
-            representatives execute up front and the remaining groups start
-            cold in the workers.
         chunk: requests per envelope; ``None`` picks ``ceil(batch / (4 *
             workers))`` capped at 32 — large enough to amortize IPC, small
             enough to keep the pool balanced and summaries streaming.
@@ -587,7 +613,6 @@ class BatchService:
         workers: int = 0,
         engine: str = "fast",
         warmup: bool = True,
-        max_prefetch: int = 32,
         chunk: Optional[int] = None,
     ) -> None:
         if engine not in available_engines():
@@ -598,7 +623,6 @@ class BatchService:
         self.workers = max(0, int(workers))
         self.engine = engine
         self.warmup = warmup
-        self.max_prefetch = max(0, int(max_prefetch))
         self.chunk = chunk
 
     # -- internals ----------------------------------------------------------
@@ -610,32 +634,16 @@ class BatchService:
         ]
 
     def _prefetch_indices(self, requests: Sequence[RunRequest]) -> List[int]:
-        """Index of the first request of every distinct structural group.
+        """The structural representatives the prefetch pass runs.
 
         Capped so warmup stays best-effort amortization: at most
-        ``max_prefetch`` representatives, and never more than a small
+        ``MAX_PREFETCH`` representatives, and never more than a small
         fraction of the batch per worker — a structurally diverse batch
         must not serialize into the parent while the pool sits idle.
         """
-        cap = min(
-            self.max_prefetch,
-            len(requests) // (2 * max(1, self.workers)) + 1,
-        )
-        seen = set()
-        picks = []
-        for i, req in enumerate(requests):
-            if req.tag.startswith(CHAOS_TAG_PREFIX):
-                # Prefetch executes in the parent process; a chaos fault
-                # (worst case ``chaos:kill``) must only ever fire behind
-                # the executor boundary, in a disposable pool worker.
-                continue
-            key = structural_key(req)
-            if key not in seen:
-                seen.add(key)
-                picks.append(i)
-                if len(picks) >= cap:
-                    break
-        return picks
+        return structural_representatives(requests, min(
+            MAX_PREFETCH, len(requests) // (2 * max(1, self.workers)) + 1
+        ))
 
     def _pooled(
         self, core: WorkerPool, requests: List[RunRequest]

@@ -3,12 +3,12 @@
 The server owns exactly one gateway and speaks the `RN` frame protocol
 (:mod:`repro.service.net.framing`, spec in ``docs/PROTOCOL.md``) to any
 number of concurrent clients.  Everything the gateway already does —
-backpressure, deadlines, micro-batching, autoscaling, chaos tags,
-recording — works unchanged over the socket, because the server is a
-thin adapter: SUBMIT frames decode to the same `RENV` request envelopes
-the in-process path uses, every request goes through
-``gateway.submit()``, and summaries travel back as columnar SUMMARY
-frames.  The layer adds only what a *network* front end needs:
+backpressure, deadlines, micro-batching, chaos tags, recording — works
+unchanged over the socket, because the server is a thin adapter: SUBMIT
+frames decode to the same `RENV` request envelopes the in-process path
+uses, every request goes through ``gateway.submit()``, and summaries
+travel back as columnar SUMMARY frames.  The layer adds only what a
+*network* front end needs:
 
 * a HELLO → NEGOTIATE → ACCEPT handshake with explicit version
   negotiation (protocol classes from :mod:`repro.service.net._factory`);
@@ -168,9 +168,8 @@ class NetServer:
 
     Gateway-shaping keyword arguments (``workers``, ``engine``,
     ``backend``, ``queue_cap``, ``policy``, ``deadline_ms``,
-    ``micro_batch``, ``micro_batch_ms``, ``autoscale``)
-    are passed through to the owned gateway verbatim; ``session_quota``
-    and ``max_frame`` are the network layer's own knobs.
+    ``micro_batch``) are passed through to the owned gateway verbatim;
+    ``session_quota`` and ``max_frame`` are the network layer's own knobs.
 
     Lifecycle mirrors the gateway: ``await start()``, serve, ``await
     close()``.  ``port=0`` binds an ephemeral port; read ``.port`` after
@@ -189,8 +188,6 @@ class NetServer:
         policy: str = "reject",
         deadline_ms: Optional[float] = None,
         micro_batch: int = 1,
-        micro_batch_ms: float = 2.0,
-        autoscale: bool = False,
         session_quota: int = DEFAULT_SESSION_QUOTA,
         max_frame: int = MAX_FRAME_BYTES,
         idempotency_keys: int = DEFAULT_IDEMPOTENCY_KEYS,
@@ -222,8 +219,6 @@ class NetServer:
             policy=policy,
             deadline_ms=deadline_ms,
             micro_batch=micro_batch,
-            micro_batch_ms=micro_batch_ms,
-            autoscale=autoscale,
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._sessions: Dict[int, _Session] = {}

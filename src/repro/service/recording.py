@@ -564,6 +564,8 @@ def replay_capture(
         queue_cap=int(queue_cap or meta.get("queue_cap", 64)),
         policy=str(policy or meta.get("policy", "reject")),
         deadline_ms=None,  # deadlines depend on wall clock, not the trace
+        # Captures from before micro_batch was recorded ran one per hop.
+        micro_batch=int(meta.get("micro_batch", 1)),
         warmup=warmup,
     )
     return ReplayReport(

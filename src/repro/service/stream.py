@@ -45,14 +45,11 @@ Architecture::
   with the order-independent digest shared with the batch service, so
   "streaming == batch == sequential" is a one-line comparison.
 * **Micro-batching.**  Dispatchers can coalesce up to K queued requests
-  (or wait T ms for batch-mates, whichever first; K adapts to observed
-  queue depth) into one executor hop.  Off by default (K=1): coalescing
-  trades per-request deadline granularity for IPC amortization, so it is
-  an explicit opt-in for throughput-oriented streams.
-* **Autoscaling.**  With ``autoscale=True`` a sampler task feeds observed
-  queue depth to an :class:`~repro.service.transport.AutoscalePolicy` and
-  spawns or retires dispatcher tasks on sustained pressure; retirement
-  uses in-band sentinels so a dispatcher finishes its current work first.
+  (or wait ``MICRO_BATCH_LINGER_MS`` for batch-mates, whichever first; K
+  adapts to observed queue depth) into one executor hop.  Off by default
+  (K=1): coalescing trades per-request deadline granularity for IPC
+  amortization, so it is an explicit opt-in for throughput-oriented
+  streams.
 
 Command line::
 
@@ -87,22 +84,19 @@ from ..core.metrics import LatencyHistogram
 from ..scenarios.generators import DEFAULT_MIX, arrival_times, mixed_batch
 from .batch import (
     BACKENDS,
-    CHAOS_TAG_PREFIX,
     BatchService,
     WorkerPool,
     execute_request,
     requests_from_scenarios,
-    structural_key,
+    structural_representatives,
     summaries_digest,
 )
-from .transport import AutoscalePolicy
 
 __all__ = [
     "STATUS_CANCELLED",
     "STATUS_COMPLETED",
     "STATUS_FAILED",
     "STATUS_REJECTED",
-    "AutoscalePolicy",
     "StreamGateway",
     "StreamMetrics",
     "StreamReport",
@@ -113,9 +107,12 @@ __all__ = [
 
 POLICIES = ("reject", "block")
 
-#: In-band scale-down sentinel: a dispatcher that dequeues it finishes
-#: nothing further and exits, so retirement never abandons taken work.
-_RETIRE = object()
+#: How long a dispatcher holding a short micro-batch waits for
+#: batch-mates before going.
+MICRO_BATCH_LINGER_MS = 2.0
+
+#: Cap on :func:`structural_warmup` runs.
+MAX_WARMUP_RUNS = 16
 
 
 def _swallow_task_result(task: "asyncio.Future[object]") -> None:
@@ -129,36 +126,21 @@ def _swallow_task_result(task: "asyncio.Future[object]") -> None:
         pass
 
 
-def structural_warmup(
-    requests: Sequence[RunRequest], max_runs: int = 16
-) -> List[RunSummary]:
+def structural_warmup(requests: Sequence[RunRequest]) -> List[RunSummary]:
     """Warm the parent plan cache from structural representatives.
 
     Runs one request per distinct ``(kind, family, n, algorithm, engine)``
-    group — capped at ``max_runs`` — in the calling process, so the plans
-    they build land in the process-wide cache before a gateway starts (the
-    process backend then ships the snapshot to its workers).  Unlike the
-    batch service's prefetch pass these runs are *not* part of any stream:
-    a stream has no fixed membership to splice results into, so warmup here
-    is paid once at startup, like a service loading its models.
+    group — capped at ``MAX_WARMUP_RUNS`` — in the calling process, so the
+    plans they build land in the process-wide cache before a gateway starts
+    (the process backend then ships the snapshot to its workers).  Unlike
+    the batch service's prefetch pass these runs are *not* part of any
+    stream: a stream has no fixed membership to splice results into, so
+    warmup here is paid once at startup, like a service loading its models.
     """
-    seen = set()
-    out: List[RunSummary] = []
-    for req in requests:
-        if req.tag.startswith(CHAOS_TAG_PREFIX):
-            # Warmup executes in the calling process: a chaos fault here
-            # (worst case ``chaos:kill``) would take down the gateway's
-            # parent instead of a disposable pool worker.  Faults only
-            # ever fire behind the executor boundary.
-            continue
-        key = structural_key(req)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(execute_request(req))
-        if len(out) >= max_runs:
-            break
-    return out
+    return [
+        execute_request(requests[i])
+        for i in structural_representatives(requests, MAX_WARMUP_RUNS)
+    ]
 
 
 class StreamMetrics:
@@ -183,9 +165,6 @@ class StreamMetrics:
         self.pool_replacements = 0
         #: envelopes re-run alone to isolate a pool-breaking request.
         self.isolation_runs = 0
-        #: autoscaler decisions (dispatcher tasks spawned / retired).
-        self.scale_ups = 0
-        self.scale_downs = 0
         self.queue_depth_max = 0
         self._depth_sum = 0
         self._depth_samples = 0
@@ -233,8 +212,6 @@ class StreamMetrics:
             "failed": self.failed,
             "pool_replacements": self.pool_replacements,
             "isolation_runs": self.isolation_runs,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
             "queue_depth_max": self.queue_depth_max,
             "queue_depth_mean": round(self.queue_depth_mean, 2),
             "latency": self.latency.summary(),
@@ -257,8 +234,8 @@ class StreamGateway:
     """Long-lived asyncio front end over a :class:`WorkerPool`.
 
     Args:
-        workers: concurrent in-flight executions (async worker tasks, and
-            the worker pool size).
+        workers: concurrent in-flight executions (dispatcher tasks, and
+            the worker pool size; fixed for the gateway's life).
         engine: default engine name stamped on requests with
             ``engine=None``.
         backend: ``"process"`` (plan-cache warm process workers — the
@@ -274,15 +251,8 @@ class StreamGateway:
             widens the window between a request starting and its deadline
             being enforceable, so it is opt-in.  When ``> 1`` the actual
             batch adapts to queue depth (never waiting for load that is
-            not there).
-        micro_batch_ms: with ``micro_batch > 1``, how long a dispatcher
-            holding a short batch waits for batch-mates before going.
-        autoscale: spawn/retire dispatcher tasks on sustained queue-depth
-            pressure (see :class:`~repro.service.transport.AutoscalePolicy`).
-            The pool is sized for the policy maximum; dispatchers start at
-            the policy minimum.
-        autoscale_policy: override the default policy
-            (``min_workers=1, max_workers=workers``).
+            not there; a short batch waits at most
+            ``MICRO_BATCH_LINGER_MS`` for batch-mates).
 
     Use as an async context manager, or call :meth:`start` / :meth:`close`.
     """
@@ -296,9 +266,6 @@ class StreamGateway:
         policy: str = "reject",
         deadline_ms: Optional[float] = None,
         micro_batch: int = 1,
-        micro_batch_ms: float = 2.0,
-        autoscale: bool = False,
-        autoscale_policy: Optional[AutoscalePolicy] = None,
     ) -> None:
         if engine not in available_engines():
             raise ValueError(
@@ -326,16 +293,10 @@ class StreamGateway:
         self.policy = policy
         self.deadline_ms = deadline_ms
         self.micro_batch = int(micro_batch)
-        self.micro_batch_ms = float(micro_batch_ms)
-        self.autoscale = autoscale
-        self._policy = autoscale_policy or AutoscalePolicy(
-            min_workers=1, max_workers=self.workers
-        )
         self.metrics = StreamMetrics()
-        self._queue: Optional["asyncio.Queue[object]"] = None
+        self._queue: Optional["asyncio.Queue[_Ticket]"] = None
         self._core: Optional[WorkerPool] = None
         self._tasks: List["asyncio.Task[None]"] = []
-        self._sampler: Optional["asyncio.Task[None]"] = None
         self._closed = False
 
     @property
@@ -362,7 +323,6 @@ class StreamGateway:
             raise RuntimeError("gateway already started")
         # Process workers warm from whatever structural_warmup and earlier
         # runs left in the parent cache; threads share that cache outright.
-        # The pool is sized for the autoscale maximum.
         self._core = WorkerPool(
             self.workers,
             self.backend,
@@ -371,44 +331,11 @@ class StreamGateway:
             ),
         )
         self._queue = asyncio.Queue(maxsize=self.queue_cap)
-        dispatchers = (
-            self._policy.workers if self.autoscale else self.workers
-        )
         self._tasks = [
             asyncio.create_task(self._worker(), name=f"stream-worker-{i}")
-            for i in range(dispatchers)
+            for i in range(self.workers)
         ]
-        if self.autoscale:
-            self._sampler = asyncio.create_task(
-                self._autoscale_sampler(), name="stream-autoscaler"
-            )
         return self
-
-    async def _autoscale_sampler(self) -> None:
-        """Feed queue depth to the policy; apply its spawn/retire verdicts."""
-        assert self._queue is not None
-        while not self._closed:
-            await asyncio.sleep(0.02)
-            if self._closed or self._queue is None:
-                return
-            delta = self._policy.observe(
-                self._queue.qsize(), time.perf_counter()
-            )
-            if delta > 0:
-                self._tasks.append(asyncio.create_task(
-                    self._worker(),
-                    name=f"stream-worker-{len(self._tasks)}",
-                ))
-                self.metrics.scale_ups += 1
-            elif delta < 0:
-                try:
-                    self._queue.put_nowait(_RETIRE)
-                    self.metrics.scale_downs += 1
-                except asyncio.QueueFull:
-                    # No room to deliver the sentinel (the queue refilled
-                    # between sample and verdict) — the pressure reading
-                    # is stale, revoke the decision.
-                    self._policy.workers += 1
 
     async def drain(self) -> None:
         """Wait until every enqueued request has been resolved."""
@@ -434,11 +361,6 @@ class StreamGateway:
                 ticket = self._queue.get_nowait()
             except asyncio.QueueEmpty:
                 return
-            if ticket is _RETIRE:
-                # An undelivered scale-down sentinel is not a request;
-                # balance the join counter and move on.
-                self._queue.task_done()
-                continue
             summary = RunSummary(
                 request=ticket.request,
                 ok=False,
@@ -456,10 +378,6 @@ class StreamGateway:
         if self._closed:
             return
         self._closed = True
-        if self._sampler is not None:
-            self._sampler.cancel()
-            await asyncio.gather(self._sampler, return_exceptions=True)
-            self._sampler = None
         await self.drain()
         for task in self._tasks:
             task.cancel()
@@ -543,14 +461,9 @@ class StreamGateway:
         assert self._queue is not None
         queue = self._queue
         while True:
-            first = await queue.get()
-            if first is _RETIRE:
-                queue.task_done()
-                return
-            batch: List[_Ticket] = [first]
-            retire_after = False
+            batch: List[_Ticket] = [await queue.get()]
             if self.micro_batch > 1:
-                retire_after = await self._coalesce(batch)
+                await self._coalesce(batch)
             try:
                 await self._dispatch_batch(batch)
             except Exception as exc:
@@ -572,49 +485,37 @@ class StreamGateway:
             finally:
                 for _ in batch:
                     queue.task_done()
-            if retire_after:
-                return
 
-    async def _coalesce(self, batch: List[_Ticket]) -> bool:
+    async def _coalesce(self, batch: List[_Ticket]) -> None:
         """Adaptively drain batch-mates into ``batch``.
 
-        The target size is ``ceil(queue depth / dispatchers)`` clamped to
+        The target size is ``ceil(queue depth / workers)`` clamped to
         ``micro_batch`` — a dispatcher takes its fair share of the backlog
         and no more, so an empty queue always dispatches immediately
         (depth-adaptive batching must not tax a lightly loaded stream).
         Only when the observed depth promised a bigger batch than the
-        queue delivered does the dispatcher linger ``micro_batch_ms`` for
-        stragglers.  Returns ``True`` when a retire sentinel was drained
-        (the caller exits after dispatching).
+        queue delivered does the dispatcher linger
+        ``MICRO_BATCH_LINGER_MS`` for stragglers.
         """
         assert self._queue is not None
         queue = self._queue
-        retire = False
 
         def drain(limit: int) -> None:
-            nonlocal retire
-            while len(batch) < limit and not retire:
+            while len(batch) < limit:
                 try:
-                    ticket = queue.get_nowait()
+                    batch.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
                     return
-                if ticket is _RETIRE:
-                    queue.task_done()
-                    retire = True
-                    return
-                batch.append(ticket)
 
-        dispatchers = max(1, len(self._tasks))
         target = max(1, min(
-            self.micro_batch, -(-queue.qsize() // dispatchers) + 1
+            self.micro_batch, -(-queue.qsize() // self.workers) + 1
         ))
         drain(target)
-        if len(batch) < target and not retire and self.micro_batch_ms > 0:
+        if len(batch) < target:
             # Single bounded linger (not a wait_for(queue.get()) — that
             # can lose an item to cancellation); then take what arrived.
-            await asyncio.sleep(self.micro_batch_ms / 1e3)
+            await asyncio.sleep(MICRO_BATCH_LINGER_MS / 1e3)
             drain(target)
-        return retire
 
     async def _dispatch_batch(self, tickets: List[_Ticket]) -> None:
         """Run one micro-batch through the executor, one hop for all.
@@ -878,8 +779,6 @@ def serve(
     policy: str = "reject",
     deadline_ms: Optional[float] = None,
     micro_batch: int = 1,
-    autoscale: bool = False,
-    autoscale_policy: Optional[AutoscalePolicy] = None,
     warmup: bool = True,
     record: Optional[str] = None,
 ) -> StreamReport:
@@ -918,6 +817,7 @@ def serve(
                     "queue_cap": queue_cap,
                     "policy": policy,
                     "deadline_ms": deadline_ms,
+                    "micro_batch": micro_batch,
                 },
             )
         gateway = StreamGateway(
@@ -928,8 +828,6 @@ def serve(
             policy=policy,
             deadline_ms=deadline_ms,
             micro_batch=micro_batch,
-            autoscale=autoscale,
-            autoscale_policy=autoscale_policy,
         )
         try:
             async with gateway:
@@ -1055,13 +953,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--autoscale", action="store_true",
-        help=(
-            "spawn/retire dispatcher tasks on sustained queue-depth "
-            "pressure (pool sized for --workers as the maximum)"
-        ),
-    )
-    parser.add_argument(
         "--engine", default="fast", choices=available_engines(),
         help="execution engine for every run (default: fast)",
     )
@@ -1129,7 +1020,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         policy=args.policy,
         deadline_ms=args.deadline_ms,
         micro_batch=args.micro_batch,
-        autoscale=args.autoscale,
         warmup=not args.no_warmup,
         record=args.record,
     )

@@ -26,16 +26,13 @@ Two deliberate asymmetries keep the envelopes small and fast:
 * **Digests ride a raw column** (:func:`~repro.core.wire.pack_raw_str_col`):
   they are unique per run, so interning them would build a string table as
   large as the data.
-
-The module also hosts :class:`AutoscalePolicy`, the pure decision rule the
-streaming gateway's worker autoscaler samples against observed queue depth.
 """
 
 from __future__ import annotations
 
 import struct
 from operator import attrgetter
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.engine import RunRequest, RunSummary
 from ..core.wire import (
@@ -62,7 +59,6 @@ __all__ = [
     "decode_requests",
     "encode_summaries",
     "decode_summaries",
-    "AutoscalePolicy",
 ]
 
 MAGIC = b"RENV"
@@ -256,78 +252,3 @@ def _run_envelope_bytes(blob: bytes) -> bytes:
     run = batch.execute_request
     return encode_summaries([run(r) for r in decode_requests(blob)])
 
-
-# -- autoscaler policy -------------------------------------------------------
-
-
-class AutoscalePolicy:
-    """Pure decision rule for the streaming gateway's worker autoscaler.
-
-    The gateway samples queue depth and feeds ``observe(depth, now)``;
-    the policy answers ``+1`` (add a dispatcher), ``-1`` (retire one) or
-    ``0``.  Scale-up requires the depth to sit at/above ``high_depth``
-    for ``sustain_s`` continuous seconds; scale-down symmetrically for
-    ``low_depth``; and every decision starts a ``cooldown_s`` quiet
-    period so bursts can't thrash the pool.  Deliberately free of clocks
-    and asyncio: the caller supplies ``now``, which makes the policy
-    directly unit-testable.
-    """
-
-    def __init__(
-        self,
-        *,
-        min_workers: int = 1,
-        max_workers: int = 4,
-        high_depth: int = 8,
-        low_depth: int = 1,
-        sustain_s: float = 0.25,
-        cooldown_s: float = 1.0,
-    ) -> None:
-        if min_workers < 1 or max_workers < min_workers:
-            raise ValueError("need 1 <= min_workers <= max_workers")
-        if low_depth > high_depth:
-            raise ValueError("low_depth must not exceed high_depth")
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.high_depth = high_depth
-        self.low_depth = low_depth
-        self.sustain_s = sustain_s
-        self.cooldown_s = cooldown_s
-        self.workers = min_workers
-        self._high_since: Optional[float] = None
-        self._low_since: Optional[float] = None
-        self._decided_at: Optional[float] = None
-
-    def observe(self, depth: int, now: float) -> int:
-        if self._decided_at is not None:
-            if now - self._decided_at < self.cooldown_s:
-                return 0
-            self._decided_at = None
-        if depth >= self.high_depth:
-            self._low_since = None
-            if self.workers >= self.max_workers:
-                self._high_since = None
-                return 0
-            if self._high_since is None:
-                self._high_since = now
-            if now - self._high_since >= self.sustain_s:
-                self.workers += 1
-                self._high_since = None
-                self._decided_at = now
-                return 1
-            return 0
-        self._high_since = None
-        if depth <= self.low_depth:
-            if self.workers <= self.min_workers:
-                self._low_since = None
-                return 0
-            if self._low_since is None:
-                self._low_since = now
-            if now - self._low_since >= self.sustain_s:
-                self.workers -= 1
-                self._low_since = None
-                self._decided_at = now
-                return -1
-            return 0
-        self._low_since = None
-        return 0

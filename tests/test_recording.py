@@ -8,6 +8,7 @@ files, version drift.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +27,7 @@ from repro.service import (
     requests_from_scenarios,
     serve,
 )
+from repro.service import stream as stream_mod
 from repro.service.recording import (
     CAPTURE_VERSION,
     CaptureWriter,
@@ -47,7 +49,7 @@ def _requests(batch, engine="fast", seed0=700):
     )
 
 
-def _capture_stream(path, batch=4, seed0=700, arrivals=None):
+def _capture_stream(path, batch=4, seed0=700, arrivals=None, micro_batch=1):
     requests = _requests(batch, seed0=seed0)
     arrivals = arrivals if arrivals is not None else [0.0] * batch
     report = serve(
@@ -56,6 +58,7 @@ def _capture_stream(path, batch=4, seed0=700, arrivals=None):
         workers=2,
         backend="thread",
         policy="block",
+        micro_batch=micro_batch,
         warmup=False,
         record=str(path),
     )
@@ -90,6 +93,35 @@ def test_capture_replay_roundtrip_property(tmp_path_factory, batch, seed0):
     )
     assert result.statuses_match
     assert result.replayed_statuses == capture.statuses()
+
+
+def test_replay_uses_recorded_micro_batch(tmp_path, monkeypatch):
+    """A micro-batched capture replays micro-batched; a capture from
+    before ``micro_batch`` was recorded replays one request per hop."""
+    path = tmp_path / "trace.jsonl"
+    _capture_stream(path, batch=4, micro_batch=4)
+    capture = load_capture(str(path))
+    assert capture.meta["micro_batch"] == 4
+
+    shapes = []
+    real_serve = stream_mod.serve
+
+    def spy(*args, **kwargs):
+        shapes.append(kwargs["micro_batch"])
+        return real_serve(*args, **kwargs)
+
+    monkeypatch.setattr(stream_mod, "serve", spy)
+    result = replay_capture(
+        capture, workers=2, backend="thread", timescale=0.0, warmup=False
+    )
+    assert result.digests_match
+    old = replace(capture, meta={
+        k: v for k, v in capture.meta.items() if k != "micro_batch"
+    })
+    assert replay_capture(
+        old, workers=2, backend="thread", timescale=0.0, warmup=False
+    ).digests_match
+    assert shapes == [4, 1]
 
 
 def test_capture_preserves_arrival_offsets(tmp_path):

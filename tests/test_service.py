@@ -23,6 +23,7 @@ from repro.service import (
     execute_request,
     requests_from_scenarios,
 )
+from repro.service import batch as batch_mod
 from repro.service.__main__ import main as service_main
 
 BATCH = 256
@@ -158,12 +159,13 @@ def test_service_engine_stamping():
         BatchService(engine="warp")
 
 
-def test_prefetch_pass_is_capped():
+def test_prefetch_pass_is_capped(monkeypatch):
     """A structurally diverse batch must not serialize into the parent:
-    at most ``max_prefetch`` representatives run up front.
+    at most ``MAX_PREFETCH`` representatives run up front.
     """
+    monkeypatch.setattr(batch_mod, "MAX_PREFETCH", 2)
     requests = _requests(12)
-    report = BatchService(workers=2, max_prefetch=2).run_batch(requests)
+    report = BatchService(workers=2).run_batch(requests)
     assert report.ok
     assert report.prefetch_runs == 2
     baseline = BatchService(workers=0).run_batch(requests)

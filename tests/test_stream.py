@@ -22,10 +22,12 @@ from repro.service import (
     STATUS_REJECTED,
     BatchService,
     StreamGateway,
+    WorkerPool,
     requests_from_scenarios,
     serve,
     summaries_digest,
 )
+from repro.service import stream as stream_mod
 from repro.service.stream import main as stream_main
 from repro.service.stream import replay, structural_warmup
 
@@ -160,6 +162,57 @@ def test_block_policy_never_rejects():
     assert len(report.completed) == len(requests)
     assert not report.rejected
     assert report.metrics["queue_depth_max"] <= 1
+
+
+# -- micro-batching ----------------------------------------------------------
+
+
+def _count_hops(monkeypatch):
+    """Record the size of every envelope the gateway sends to its pool."""
+    sizes = []
+    real_submit = WorkerPool.submit
+
+    def submit(self, requests):
+        sizes.append(len(requests))
+        return real_submit(self, requests)
+
+    monkeypatch.setattr(WorkerPool, "submit", submit)
+    return sizes
+
+
+def _run_gateway(requests, **kwargs):
+    async def main():
+        async with StreamGateway(backend="thread", **kwargs) as gateway:
+            futures = [await gateway.submit(r) for r in requests]
+            await gateway.drain()
+            return [await f for f in futures]
+
+    return asyncio.run(main())
+
+
+def test_saturated_gateway_coalesces_into_capped_hops(monkeypatch):
+    """A backlog is shared out in hops of at most ``micro_batch``, and the
+    coalesced stream digests exactly like the sequential baseline."""
+    hops = _count_hops(monkeypatch)
+    requests = _requests(16)
+    summaries = _run_gateway(
+        requests, workers=2, micro_batch=4, queue_cap=8, policy="block"
+    )
+    assert all(s.status == STATUS_COMPLETED and s.ok for s in summaries)
+    baseline = BatchService(workers=0).run_batch(requests)
+    assert summaries_digest(summaries) == baseline.batch_digest()
+    assert sum(hops) == len(requests)
+    assert len(hops) < len(requests)
+    assert max(hops) <= 4
+
+
+def test_idle_gateway_dispatches_lone_request_alone(monkeypatch):
+    """With nothing queued behind it, a request goes out at once as a hop
+    of one: micro-batching never waits for load that is not there."""
+    hops = _count_hops(monkeypatch)
+    (summary,) = _run_gateway(_requests(1), workers=2, micro_batch=4)
+    assert summary.status == STATUS_COMPLETED and summary.ok
+    assert hops == [1]
 
 
 # -- deadlines ---------------------------------------------------------------
@@ -431,9 +484,10 @@ def test_replay_paces_arrivals():
     assert len(report.completed) == 3
 
 
-def test_structural_warmup_dedupes_and_caps():
+def test_structural_warmup_dedupes_and_caps(monkeypatch):
+    monkeypatch.setattr(stream_mod, "MAX_WARMUP_RUNS", 3)
     requests = _requests(12)
-    warmed = structural_warmup(requests, max_runs=3)
+    warmed = structural_warmup(requests)
     assert len(warmed) == 3
     assert all(s.ok for s in warmed)
     groups = {

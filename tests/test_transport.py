@@ -1,11 +1,10 @@
-"""Envelope transport: codec properties, pool parity, autoscaler.
+"""Envelope transport: codec properties, pool parity, capture parity.
 
 A hypothesis property suite over the columnar envelope round trip (chaos
 tags, unset deadlines, failed and digestless summaries included), digest
 parity between the worker pool and the in-process sequential backend on a
-256-instance mixed batch, the pure autoscaler decision rule, the
-PlanCache snapshot pickled-once regression, and capture parity across
-backends.
+256-instance mixed batch, the PlanCache snapshot pickled-once regression,
+and capture parity across backends.
 """
 
 import pytest
@@ -24,7 +23,6 @@ from repro.service import BatchService, inject, requests_from_scenarios
 from repro.service import batch as batch_mod
 from repro.service.recording import Recorder, load_capture
 from repro.service.transport import (
-    AutoscalePolicy,
     decode_requests,
     decode_summaries,
     encode_requests,
@@ -165,58 +163,6 @@ def test_pool_and_inprocess_digests_match_on_256_mixed():
     assert [s.digest for s in pooled.summaries] == [
         s.digest for s in sequential.summaries
     ]
-
-
-# -- autoscaler policy --------------------------------------------------------
-
-
-def test_autoscale_policy_sustain_and_cooldown():
-    p = AutoscalePolicy(
-        min_workers=1, max_workers=3, high_depth=4, low_depth=0,
-        sustain_s=0.1, cooldown_s=1.0,
-    )
-    assert p.workers == 1
-    assert p.observe(8, 0.00) == 0  # high, but not sustained yet
-    assert p.observe(8, 0.05) == 0
-    assert p.observe(8, 0.11) == 1  # sustained past sustain_s
-    assert p.workers == 2
-    assert p.observe(8, 0.20) == 0  # cooldown swallows the next decision
-    assert p.observe(8, 1.20) == 0  # cooldown over; sustain restarts
-    assert p.observe(8, 1.35) == 1
-    assert p.workers == 3
-    assert p.observe(9, 2.40) == 0  # at max_workers: never exceeds
-    assert p.observe(9, 2.60) == 0
-
-    assert p.observe(0, 3.00) == 0  # idle, but not sustained yet
-    assert p.observe(0, 3.11) == -1
-    assert p.workers == 2
-    assert p.observe(0, 4.20) == 0
-    assert p.observe(0, 4.35) == -1
-    assert p.workers == 1
-    assert p.observe(0, 6.00) == 0  # at min_workers: never drops below
-    assert p.observe(0, 7.00) == 0
-
-
-def test_autoscale_policy_interruption_resets_sustain():
-    p = AutoscalePolicy(
-        min_workers=1, max_workers=2, high_depth=4, low_depth=0,
-        sustain_s=0.1, cooldown_s=0.1,
-    )
-    assert p.observe(8, 0.00) == 0
-    assert p.observe(2, 0.05) == 0  # dip below high_depth resets the clock
-    assert p.observe(8, 0.08) == 0
-    assert p.observe(8, 0.15) == 0  # only 0.07s sustained since the dip
-    assert p.observe(8, 0.19) == 1
-    assert p.workers == 2
-
-
-def test_autoscale_policy_validation():
-    with pytest.raises(ValueError, match="min_workers"):
-        AutoscalePolicy(min_workers=0)
-    with pytest.raises(ValueError, match="min_workers"):
-        AutoscalePolicy(min_workers=3, max_workers=2)
-    with pytest.raises(ValueError, match="low_depth"):
-        AutoscalePolicy(low_depth=9, high_depth=8)
 
 
 # -- PlanCache snapshot pickled once (satellite regression) -------------------
