@@ -1,12 +1,13 @@
 """Bipartite-multigraph toolkit backing the paper's Theorem 3.2 machinery."""
 
 from .coloring import (
+    color_demand,
+    euler_split,
     greedy_edge_coloring,
     koenig_coloring_padded,
     koenig_edge_coloring,
     num_colors,
 )
-from .euler import euler_split
 from .matching import maximum_matching, perfect_matching
 from .multigraph import (
     BipartiteMultigraph,
@@ -30,6 +31,7 @@ __all__ = [
     "maximum_matching",
     "perfect_matching",
     "koenig_edge_coloring",
+    "color_demand",
     "koenig_coloring_padded",
     "greedy_edge_coloring",
     "num_colors",

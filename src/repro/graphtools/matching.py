@@ -14,7 +14,7 @@ graph.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ColoringError
 from .multigraph import BipartiteMultigraph
@@ -24,26 +24,74 @@ INF = float("inf")
 
 def maximum_matching(graph: BipartiteMultigraph) -> List[int]:
     """Maximum matching as a list of edge indices (one per matched pair)."""
-    # Underlying simple adjacency with representative (smallest) edge index.
-    rep: Dict[Tuple[int, int], int] = {}
-    for idx, (u, v) in enumerate(graph.edges):
-        if (u, v) not in rep:
-            rep[(u, v)] = idx
-    simple_adj: List[List[int]] = [[] for _ in range(graph.left_size)]
-    for (u, v) in sorted(rep):
-        simple_adj[u].append(v)
+    left_adj, vs = _left_incidence(graph)
+    return [e for e in _matched_edges(left_adj, vs, graph.right_size) if e is not None]
 
-    match_left: List[Optional[int]] = [None] * graph.left_size
-    match_right: List[Optional[int]] = [None] * graph.right_size
+
+def perfect_matching(graph: BipartiteMultigraph) -> List[int]:
+    """A perfect matching of a regular bipartite multigraph.
+
+    Raises :class:`ColoringError` if the matching found is not perfect —
+    which cannot happen on a regular input (Hall's theorem) and therefore
+    signals a corrupt graph.
+    """
+    if graph.left_size != graph.right_size:
+        raise ColoringError("perfect matching requires equal side sizes")
+    return sorted(perfect_level(*_left_incidence(graph)))
+
+
+def perfect_level(left_adj: Sequence[List[int]], vs: Sequence[int]) -> List[int]:
+    """Edge ids of a perfect matching, one per left vertex in order.
+
+    ``left_adj[u]`` lists the ids of the edges at left vertex ``u`` in
+    increasing local order and ``vs[e]`` is edge ``e``'s right endpoint;
+    both sides have ``len(left_adj)`` vertices.
+    """
+    matched = [e for e in _matched_edges(left_adj, vs, len(left_adj)) if e is not None]
+    if len(matched) != len(left_adj):
+        raise ColoringError(
+            f"no perfect matching: matched {len(matched)} of "
+            f"{len(left_adj)} vertices (graph not regular?)"
+        )
+    return matched
+
+
+def _left_incidence(graph: BipartiteMultigraph) -> Tuple[List[List[int]], List[int]]:
+    left_adj: List[List[int]] = [[] for _ in range(graph.left_size)]
+    for e, (u, _) in enumerate(graph.edges):
+        left_adj[u].append(e)
+    return left_adj, [v for _, v in graph.edges]
+
+
+def _matched_edges(
+    left_adj: Sequence[List[int]], vs: Sequence[int], right_size: int
+) -> List[Optional[int]]:
+    """Per left vertex, the representative id of its matched edge or None."""
+    # Underlying simple adjacency with representative (first) edge id.
+    reps: List[Dict[int, int]] = [{} for _ in left_adj]
+    for first, incident in zip(reps, left_adj):
+        for e in incident:
+            first.setdefault(vs[e], e)
+    match_left = _hopcroft_karp([sorted(first) for first in reps], right_size)
+    return [None if v is None else reps[u][v] for u, v in enumerate(match_left)]
+
+
+def _hopcroft_karp(
+    simple_adj: List[List[int]], right_size: int
+) -> List[Optional[int]]:
+    """Hopcroft–Karp on a simple bipartite graph; ``match_left`` per vertex."""
+    left_size = len(simple_adj)
+    match_left: List[Optional[int]] = [None] * left_size
+    match_right: List[Optional[int]] = [None] * right_size
 
     # Layered distances from the latest BFS phase, shared with dfs below.
-    dist: List[float] = [INF] * graph.left_size
+    dist: List[float] = [INF] * left_size
 
     def bfs() -> bool:
         nonlocal dist
-        dist = [INF] * graph.left_size
+        dist = [INF] * left_size
         queue: deque = deque()
-        for u in range(graph.left_size):
+        for u in range(left_size):
             if match_left[u] is None:
                 dist[u] = 0
                 queue.append(u)
@@ -70,33 +118,7 @@ def maximum_matching(graph: BipartiteMultigraph) -> List[int]:
         return False
 
     while bfs():
-        for u in range(graph.left_size):
+        for u in range(left_size):
             if match_left[u] is None:
                 dfs(u)
-
-    return [
-        rep[(u, v)]
-        for u, v in (
-            (u, match_left[u])
-            for u in range(graph.left_size)
-            if match_left[u] is not None
-        )
-    ]
-
-
-def perfect_matching(graph: BipartiteMultigraph) -> List[int]:
-    """A perfect matching of a regular bipartite multigraph.
-
-    Raises :class:`ColoringError` if the matching found is not perfect —
-    which cannot happen on a regular input (Hall's theorem) and therefore
-    signals a corrupt graph.
-    """
-    if graph.left_size != graph.right_size:
-        raise ColoringError("perfect matching requires equal side sizes")
-    matching = maximum_matching(graph)
-    if len(matching) != graph.left_size:
-        raise ColoringError(
-            f"no perfect matching: matched {len(matching)} of "
-            f"{graph.left_size} vertices (graph not regular?)"
-        )
-    return sorted(matching)
+    return match_left

@@ -12,7 +12,7 @@ the two sides are separate namespaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ColoringError
 
@@ -75,15 +75,6 @@ class BipartiteMultigraph:
             raise ColoringError("graph is not regular")
         return self.left_degrees()[0] if self.left_size else 0
 
-    def adjacency(self) -> Tuple[List[List[Tuple[int, int]]], List[List[Tuple[int, int]]]]:
-        """Adjacency lists ``(left_adj, right_adj)`` of (neighbor, edge_idx)."""
-        left_adj: List[List[Tuple[int, int]]] = [[] for _ in range(self.left_size)]
-        right_adj: List[List[Tuple[int, int]]] = [[] for _ in range(self.right_size)]
-        for idx, (u, v) in enumerate(self.edges):
-            left_adj[u].append((v, idx))
-            right_adj[v].append((u, idx))
-        return left_adj, right_adj
-
     def subgraph(self, edge_indices: Sequence[int]) -> Tuple["BipartiteMultigraph", List[int]]:
         """Graph induced by the given edge indices.
 
@@ -96,10 +87,6 @@ class BipartiteMultigraph:
         )
         return sub, back
 
-    def canonical_key(self) -> Tuple:
-        """Hashable identity for shared-computation caching."""
-        return (self.left_size, self.right_size, tuple(self.edges))
-
 
 def from_demand_matrix(demand: Sequence[Sequence[int]]) -> BipartiteMultigraph:
     """Build a multigraph from a demand matrix.
@@ -108,29 +95,44 @@ def from_demand_matrix(demand: Sequence[Sequence[int]]) -> BipartiteMultigraph:
     ``v``, in row-major order — the canonical encoding of "node u holds k
     messages for destination v" used by the routing primitives.
     """
-    left = len(demand)
-    right = len(demand[0]) if left else 0
-    g = BipartiteMultigraph(left, right)
+    us, vs, row_sums, col_sums = demand_edges(demand)
+    return BipartiteMultigraph(len(row_sums), len(col_sums), list(zip(us, vs)))
+
+
+def demand_edges(
+    demand: Sequence[Sequence[int]],
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """``(us, vs, row_sums, col_sums)``: the endpoints of the demand
+    multigraph's edges in :func:`from_demand_matrix` order, and its left
+    and right degrees."""
+    width = len(demand[0]) if demand else 0
+    us: List[int] = []
+    vs: List[int] = []
+    row_sums: List[int] = []
+    col_sums = [0] * width
     for u, row in enumerate(demand):
-        if len(row) != right:
+        if len(row) != width:
             raise ValueError("demand matrix is ragged")
+        before = len(us)
         for v, count in enumerate(row):
-            if count < 0:
-                raise ValueError("negative demand")
-            for _ in range(count):
-                g.add_edge(u, v)
-    return g
+            if count:
+                if count < 0:
+                    raise ValueError("negative demand")
+                us += [u] * count
+                vs += [v] * count
+                col_sums[v] += count
+        row_sums.append(len(us) - before)
+    return us, vs, row_sums, col_sums
 
 
 def pad_to_regular(
-    graph: BipartiteMultigraph, degree: int = None
+    graph: BipartiteMultigraph, degree: Optional[int] = None
 ) -> Tuple[BipartiteMultigraph, int]:
     """Add dummy edges so the graph becomes ``degree``-regular.
 
     Only defined for equal side sizes (the paper always pads sender/receiver
-    role graphs, which are square).  The padding is deterministic: deficient
-    left vertices are paired with deficient right vertices greedily in
-    increasing id order, so every node computing this from common knowledge
+    role graphs, which are square).  The padding is deterministic (see
+    :func:`padding`), so every node computing this from common knowledge
     obtains the identical padded graph.
 
     Returns ``(padded_graph, num_real_edges)``; real edges keep their indices
@@ -139,38 +141,32 @@ def pad_to_regular(
     if graph.left_size != graph.right_size:
         raise ColoringError("padding requires equal side sizes")
     target = degree if degree is not None else graph.max_degree()
-    ld, rd = graph.left_degrees(), graph.right_degrees()
-    if any(d > target for d in ld + rd):
-        raise ColoringError(f"target degree {target} below existing max degree")
-
+    pad_u, pad_v = padding(graph.left_degrees(), graph.right_degrees(), target)
     padded = BipartiteMultigraph(
-        graph.left_size, graph.right_size, list(graph.edges)
+        graph.left_size, graph.right_size, graph.edges + list(zip(pad_u, pad_v))
     )
-    num_real = graph.num_edges
-    left_deficit = [(u, target - d) for u, d in enumerate(ld) if target > d]
-    right_deficit = [(v, target - d) for v, d in enumerate(rd) if target > d]
-    li = ri = 0
-    while li < len(left_deficit) and ri < len(right_deficit):
-        u, du = left_deficit[li]
-        v, dv = right_deficit[ri]
-        take = min(du, dv)
-        for _ in range(take):
-            padded.add_edge(u, v)
-        du -= take
-        dv -= take
-        if du == 0:
-            li += 1
-        else:
-            left_deficit[li] = (u, du)
-        if dv == 0:
-            ri += 1
-        else:
-            right_deficit[ri] = (v, dv)
-    if li < len(left_deficit) or ri < len(right_deficit):
+    return padded, graph.num_edges
+
+
+def padding(
+    left_degrees: Sequence[int], right_degrees: Sequence[int], target: int
+) -> Tuple[List[int], List[int]]:
+    """Endpoints ``(us, vs)`` of the dummy edges that make a graph with these
+    degrees ``target``-regular.
+
+    The ``i``-th dummy joins the ``i``-th missing left slot to the ``i``-th
+    missing right slot, slots listed in increasing vertex id: deficient
+    vertices are paired greedily in id order.
+    """
+    if max([target, *left_degrees, *right_degrees]) > target:
+        raise ColoringError(f"target degree {target} below existing max degree")
+    pad_u = [u for u, d in enumerate(left_degrees) for _ in range(target - d)]
+    pad_v = [v for v, d in enumerate(right_degrees) for _ in range(target - d)]
+    if len(pad_u) != len(pad_v):
         raise ColoringError(
             "left/right padding deficits disagree; sides have unequal totals"
         )
-    return padded, num_real
+    return pad_u, pad_v
 
 
 def degree_histogram(graph: BipartiteMultigraph) -> Dict[int, int]:

@@ -44,9 +44,8 @@ from ..core.message import Packet
 from ..core.network import CongestedClique, RunResult
 from ..core.topology import square_groups, square_partition
 from ..core.wire import fast_packet, header_codec
-from ..graphtools.coloring import koenig_coloring_padded
-from ..graphtools.multigraph import from_demand_matrix
 from .primitives import (
+    _color_map,
     announce_within_group,
     broadcast_word,
     route_known,
@@ -79,22 +78,8 @@ def _unwire(w: Sequence[int], base: int) -> Message:
 
 
 def _color_pairs(demand: Tuple[Tuple[int, ...], ...]):
-    """Koenig-color the multigraph of a demand matrix; group colors by pair.
-
-    Pure in ``demand`` and expensive (the Koenig recursion), so memoized in
-    the process-wide plan cache; the result is shared by reference and must
-    not be mutated.
-    """
-    return planned(("color_pairs", demand), lambda: _color_pairs_impl(demand))
-
-
-def _color_pairs_impl(demand: Tuple[Tuple[int, ...], ...]):
-    graph = from_demand_matrix([list(r) for r in demand])
-    colors = koenig_coloring_padded(graph) if graph.num_edges else []
-    by_pair: Dict[Tuple[int, int], List[int]] = {}
-    for (a, b), c in zip(graph.edges, colors):
-        by_pair.setdefault((a, b), []).append(c)
-    return by_pair
+    """Koenig colors of a demand matrix by pair (plan-cached; do not mutate)."""
+    return _color_map(demand)[0]
 
 
 def _send_bundled(

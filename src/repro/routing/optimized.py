@@ -46,8 +46,7 @@ from ..core.message import Packet
 from ..core.network import CongestedClique, RunResult
 from ..core.topology import square_groups, square_partition
 from ..core.wire import header_codec
-from ..graphtools.coloring import koenig_edge_coloring
-from ..graphtools.multigraph import BipartiteMultigraph, pad_to_regular
+from ..graphtools.coloring import color_demand
 from .lenzen import WireMsg, _send_bundled, header_base
 from .primitives import broadcast_word, route_unknown
 from .problem import Message, RoutingInstance
@@ -80,18 +79,9 @@ def _super_classes(
 def _super_classes_impl(
     totals: Tuple[Tuple[int, ...], ...], n: int, s: int
 ) -> Dict[Tuple[int, int], List[int]]:
-    graph = BipartiteMultigraph(s, s)
-    for g in range(s):
-        for g2 in range(s):
-            for _ in range(totals[g][g2] // n):
-                graph.add_edge(g, g2)
-    by_pair: Dict[Tuple[int, int], List[int]] = {}
-    if graph.num_edges:
-        padded, real = pad_to_regular(graph)
-        colors = koenig_edge_coloring(padded)[:real]
-        for (g, g2), c in zip(graph.edges, colors):
-            by_pair.setdefault((g, g2), []).append(c % s)
-    return by_pair
+    bundles = [[totals[g][g2] // n for g2 in range(s)] for g in range(s)]
+    by_pair, _ = color_demand(bundles)
+    return {pair: [c % s for c in colors] for pair, colors in by_pair.items()}
 
 
 def _spread_rounds(

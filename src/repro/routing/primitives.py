@@ -36,8 +36,7 @@ from ..core.context import NodeContext, planned
 from ..core.errors import ModelViolation, ProtocolError
 from ..core.message import Packet, pack_pair, unpack_pair
 from ..core.wire import bad_segment_width, fast_packet, regroup_segments
-from ..graphtools.coloring import greedy_edge_coloring, koenig_coloring_padded
-from ..graphtools.multigraph import from_demand_matrix
+from ..graphtools.coloring import color_demand
 
 Item = Tuple[int, ...]
 Groups = Tuple[Tuple[int, ...], ...]
@@ -72,26 +71,8 @@ def _color_map(
     callers must not mutate it.
     """
     return planned(
-        ("color_map", demand, scheme), lambda: _color_map_impl(demand, scheme)
+        ("color_map", demand, scheme), lambda: color_demand(demand, scheme)
     )
-
-
-def _color_map_impl(
-    demand: Demand, scheme: str
-) -> Tuple[Dict[Tuple[int, int], List[int]], int]:
-    graph = from_demand_matrix([list(row) for row in demand])
-    if not graph.num_edges:
-        return {}, 0
-    if scheme == "greedy":
-        colors = greedy_edge_coloring(graph)
-        degree = max(colors) + 1
-    else:
-        degree = graph.max_degree()
-        colors = koenig_coloring_padded(graph)
-    by_pair: Dict[Tuple[int, int], List[int]] = {}
-    for (a, b), c in zip(graph.edges, colors):
-        by_pair.setdefault((a, b), []).append(c)
-    return by_pair, degree
 
 
 def route_known(
