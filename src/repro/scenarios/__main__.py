@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List
+from typing import List, Optional
 
 from ..analysis import render_table
 from ..core.engine import available_engines
@@ -18,7 +18,7 @@ from .generators import KINDS, default_scenarios
 from .runner import ScenarioRunner
 
 
-def main(argv: List[str]) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.scenarios",
         description="differential scenario sweep over algorithms x engines",
@@ -86,4 +86,4 @@ def main(argv: List[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -10,14 +10,11 @@ sequential baseline's.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from typing import List, Optional
 
 from ..analysis import render_table
-from ..core.engine import available_engines
-from ..scenarios.generators import DEFAULT_MIX, mixed_batch
-from .batch import BatchReport, BatchService, requests_from_scenarios
+from . import cli
+from .batch import BatchReport, BatchService
 
 
 def _render(report: BatchReport) -> str:
@@ -56,63 +53,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.service",
         description=(
             "Sharded batch execution of mixed routing/sorting/multiplex "
-            "workloads on the congested-clique simulator."
+            "workloads on the congested-clique simulator.  --workers 0 or 1 "
+            "runs in-process and sequentially; W >= 2 runs a process pool "
+            "of W."
         ),
     )
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="W",
-        help="0/1: in-process sequential backend; >=2: process pool of W",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=64, metavar="B",
-        help="number of instances in the batch (default 64)",
-    )
-    parser.add_argument(
-        "--scenario-mix", default=DEFAULT_MIX, metavar="MIX",
-        help=(
-            "weighted kind/family:weight mix, comma-separated "
-            f"(default: {DEFAULT_MIX!r})"
-        ),
-    )
-    parser.add_argument(
-        "--engine", default="fast", choices=available_engines(),
-        help="execution engine for every run (default: fast)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed; request i uses seed+i (default 0)",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable report instead of tables",
-    )
-    parser.add_argument(
-        "--selfcheck", action="store_true",
-        help=(
-            "re-run the batch on the sequential backend and require "
-            "byte-identical batch digests (CI smoke mode)"
-        ),
-    )
-    parser.add_argument(
-        "--no-warmup", action="store_true",
-        help="skip the structural prefetch / worker plan-cache warmup",
-    )
-    parser.add_argument(
-        "--record", default=None, metavar="PATH",
-        help=(
-            "append every request/summary envelope to a capture file "
-            "(replay with python -m repro.service.recording)"
-        ),
+    cli.add_flags(
+        parser, "batch", *cli.WORKLOAD, "selfcheck", "no_warmup", "record",
+        workers=0,
     )
     args = parser.parse_args(argv)
-
-    try:
-        scenarios = mixed_batch(
-            args.batch, mix=args.scenario_mix, seed0=args.seed
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    requests = requests_from_scenarios(scenarios, engine=args.engine)
+    requests = cli.build_requests(parser, args, args.batch)
 
     service = BatchService(
         workers=args.workers,
@@ -135,41 +86,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         report = service.run_batch(requests)
 
     doc = report.to_dict()
-    selfcheck_ok = True
     if args.selfcheck:
-        baseline = BatchService(workers=0, engine=args.engine).run_batch(
-            requests
+        doc["selfcheck"] = cli.sequential_check(
+            requests, args.engine, report.batch_digest()
         )
-        selfcheck_ok = (
-            baseline.ok and baseline.batch_digest() == report.batch_digest()
-        )
-        doc["selfcheck"] = {
-            "sequential_digest": baseline.batch_digest(),
-            "match": selfcheck_ok,
-        }
-
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(_render(report))
-        if args.selfcheck:
-            status = "match" if selfcheck_ok else "MISMATCH"
-            print(
-                f"selfcheck: sequential backend digest "
-                f"{doc['selfcheck']['sequential_digest']} -> {status}"
-            )
-
-    if not report.ok:
-        for s in report.failures:
-            print(f"FAIL {s.request.name}: {s.error}", file=sys.stderr)
-        return 1
-    if not selfcheck_ok:
-        print(
-            "selfcheck FAILED: backends disagree on batch digest",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return cli.verdict(
+        args, doc, _render(report), what="batch", failures=report.failures
+    )
 
 
 if __name__ == "__main__":

@@ -55,22 +55,16 @@ See DESIGN.md section 9 for the semantics.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import signal
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from ..core.engine import STATUS_FAILED, RunRequest
 from ..scenarios.generators import DEFAULT_MIX, arrival_times, mixed_batch
-from .batch import (
-    CHAOS_TAG_PREFIX,
-    BatchService,
-    requests_from_scenarios,
-)
+from .batch import CHAOS_TAG_PREFIX, requests_from_scenarios
 
 __all__ = [
     "ChaosFault",
@@ -272,6 +266,7 @@ def run_chaos(
     forensics/replay.  Kills require the process backend — in a thread
     backend the "worker" is the calling process itself.
     """
+    from .cli import sequential_check
     from .stream import serve
 
     if plan is None:
@@ -336,11 +331,11 @@ def run_chaos(
     baseline_digest = ""
     digest_ok = True
     if completed:
-        baseline = BatchService(workers=0, engine=engine).run_batch(
-            [s.request for s in completed]
+        check = sequential_check(
+            [s.request for s in completed], engine, chaos_digest
         )
-        baseline_digest = baseline.batch_digest()
-        digest_ok = baseline.ok and baseline_digest == chaos_digest
+        baseline_digest = check["sequential_digest"]
+        digest_ok = check["match"]
 
     p99_chaos_ms = chaos_report.metrics["latency"]["p99_ms"]
     p99_bound_ms = p99_factor * (p99_clean_ms + straggler_ms) + p99_slack_ms
@@ -387,6 +382,8 @@ def run_chaos(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from . import cli  # imported here: pool workers import this module
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.chaos",
         description=(
@@ -398,10 +395,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--requests", type=int, default=24, metavar="N",
         help="workload size before faults (default 24)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="W",
-        help="gateway workers / pool size (default 2)",
     )
     parser.add_argument(
         "--kills", type=int, default=1,
@@ -424,15 +417,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="uniform arrival rate per second; 0 = saturated (default)",
     )
     parser.add_argument(
-        "--engine", default="fast",
-        help="execution engine for every run (default: fast)",
-    )
-    parser.add_argument(
-        "--scenario-mix", default=DEFAULT_MIX, metavar="MIX",
-        help="weighted kind/family:weight mix (see repro.service)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
         "--p99-factor", type=float, default=4.0,
         help="p99 bound: factor*(clean_p99+straggler_ms)+slack (default 4)",
     )
@@ -444,11 +428,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-clean-baseline", action="store_true",
         help="skip the clean twin run (disables the p99 gate)",
     )
-    parser.add_argument(
-        "--record", default=None, metavar="PATH",
-        help="capture the chaos run's traffic for replay/forensics",
-    )
-    parser.add_argument("--json", action="store_true")
+    cli.add_flags(parser, "workers", *cli.WORKLOAD, "record")
     args = parser.parse_args(argv)
 
     try:
@@ -471,34 +451,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    doc = report.to_dict()
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        c = report.counts
-        print(
-            f"chaos: {c['offered']} offered "
-            f"({c['kills']} kills, {c['poisons']} poisons, "
-            f"{c['stragglers']} stragglers) -> {c['completed']} completed, "
-            f"{c['failed']} failed, {report.pool_replacements} pool "
-            f"replacement(s), {report.isolation_runs} isolation re-run(s), "
-            f"{c['post_kill_completed']} completions after the last kill"
-        )
-        print(
-            f"p99: clean {report.p99_clean_ms:.1f}ms, chaos "
-            f"{report.p99_chaos_ms:.1f}ms (bound {report.p99_bound_ms:.1f}ms)"
-        )
-        print(
-            f"digest: chaos {report.chaos_digest or '-'} vs sequential "
-            f"baseline {report.baseline_digest or '-'}"
-        )
-        for gate, passed in report.gates.items():
-            print(f"gate {gate}: {'pass' if passed else 'FAIL'}")
-    if not report.ok:
-        failed = [g for g, p in report.gates.items() if not p]
-        print(f"chaos gates FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    c = report.counts
+    text = "\n".join([
+        f"chaos: {c['offered']} offered "
+        f"({c['kills']} kills, {c['poisons']} poisons, "
+        f"{c['stragglers']} stragglers) -> {c['completed']} completed, "
+        f"{c['failed']} failed, {report.pool_replacements} pool "
+        f"replacement(s), {report.isolation_runs} isolation re-run(s), "
+        f"{c['post_kill_completed']} completions after the last kill",
+        f"p99: clean {report.p99_clean_ms:.1f}ms, chaos "
+        f"{report.p99_chaos_ms:.1f}ms (bound {report.p99_bound_ms:.1f}ms)",
+        f"digest: chaos {report.chaos_digest or '-'} vs sequential "
+        f"baseline {report.baseline_digest or '-'}",
+    ])
+    return cli.verdict(
+        args, report.to_dict(), text, what="chaos", gates=report.gates
+    )
 
 
 if __name__ == "__main__":

@@ -35,9 +35,9 @@ Command line::
     python -m repro.service.net selfcheck --resilient --toxic latency:5 \
         --toxic disconnect:65536
     python -m repro.service.net soak --duration 60 --flap-every 3
-    python -m repro.service.net bench --batch 64
 
-See DESIGN.md section 12.
+Loopback round-trip percentiles and wire bytes per request are recorded
+by ``benchmarks/bench_net.py`` (E19).  See DESIGN.md section 12.
 """
 
 from ._factory import (

@@ -1,6 +1,6 @@
 """Network service CLI: ``python -m repro.service.net <command>``.
 
-Five subcommands::
+Four subcommands::
 
     serve      run a NetServer in the foreground (Ctrl-C to stop)
     client     connect to a running server, execute a mixed batch
@@ -10,7 +10,6 @@ Five subcommands::
                proxy, resilient client under poisson load; gates on
                digest parity, zero stranded futures, zero duplicate
                executions, bounded retries
-    bench      loopback round-trip latency + per-request wire bytes
 
 ``client --selfcheck`` re-executes the batch on the in-process
 sequential baseline and requires byte-identical digests — the same
@@ -19,21 +18,29 @@ gate CI's ``net-smoke`` job runs against a real two-process serve.
 :class:`~repro.service.net.resilience.ResilientClient`) and repeatable
 ``--toxic SPEC`` flags, which interpose the wire-level fault proxy —
 CI's ``net-fault-smoke`` job is ``selfcheck --resilient --toxic ...``
-with the same digest gate plus a bounded-retries gate.
+with the same digest gate plus a bounded-retries gate.  Loopback
+round-trip percentiles and wire bytes per request are recorded by
+``benchmarks/bench_net.py`` (E19).
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import math
 import sys
 import threading
 import time
 from typing import Dict, List, Optional
 
-from ..batch import BatchService, requests_from_scenarios, summaries_digest
+from ...core.engine import RunRequest
+from ...scenarios.generators import (
+    REMOTE_SELFCHECK_MIX,
+    flap_times,
+    poisson_arrivals,
+)
+from .. import cli
+from ..batch import summaries_digest
 from .client import Client, CommonClient
 from .faultproxy import ProxyThread
 from .framing import MAX_FRAME_BYTES
@@ -42,34 +49,7 @@ from .server import DEFAULT_SESSION_QUOTA, NetServer, ServerThread
 
 
 def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="W",
-        help="gateway worker count (default 2)",
-    )
-    parser.add_argument(
-        "--engine", default="fast",
-        help="default engine stamped on engine-less requests",
-    )
-    parser.add_argument(
-        "--backend", default="thread", choices=("process", "thread"),
-        help="gateway executor backend (default thread)",
-    )
-    parser.add_argument(
-        "--queue-cap", type=int, default=64, metavar="N",
-        help="gateway queue capacity (default 64)",
-    )
-    parser.add_argument(
-        "--policy", default="reject", choices=("reject", "block"),
-        help="gateway backpressure policy (default reject)",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
-        help="per-request deadline (default none)",
-    )
-    parser.add_argument(
-        "--micro-batch", type=int, default=1, metavar="N",
-        help="gateway micro-batch size (default 1)",
-    )
+    cli.add_flags(parser, *cli.GATEWAY, backend="thread")
     parser.add_argument(
         "--quota", type=int, default=DEFAULT_SESSION_QUOTA, metavar="N",
         help=f"per-session queue quota (default {DEFAULT_SESSION_QUOTA})",
@@ -80,21 +60,8 @@ def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batch_args(parser: argparse.ArgumentParser) -> None:
-    from ...scenarios.generators import DEFAULT_MIX
-
-    parser.add_argument(
-        "--batch", type=int, default=64, metavar="B",
-        help="number of instances (default 64)",
-    )
-    parser.add_argument(
-        "--scenario-mix", default=DEFAULT_MIX, metavar="MIX",
-        help=f"kind/family:weight mix (default {DEFAULT_MIX!r})",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed; request i uses seed+i (default 0)",
-    )
+def _add_batch_args(parser: argparse.ArgumentParser, **defaults: str) -> None:
+    cli.add_flags(parser, "batch", *cli.WORKLOAD, **defaults)
     parser.add_argument(
         "--chunk", type=int, default=32, metavar="N",
         help="requests per SUBMIT envelope (default 32)",
@@ -143,16 +110,9 @@ def _server_kwargs(args: argparse.Namespace) -> dict:
     )
 
 
-def _batch_requests(args: argparse.Namespace):
-    from ...scenarios.generators import mixed_batch
-
-    scenarios = mixed_batch(
-        args.batch, mix=args.scenario_mix, seed0=args.seed
-    )
-    return requests_from_scenarios(scenarios, engine=args.engine)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> int:
     async def _run() -> None:
         server = NetServer(**_server_kwargs(args))
         await server.start()
@@ -179,7 +139,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _make_client(
     args: argparse.Namespace, host: str, port: int
 ) -> CommonClient:
-    if getattr(args, "resilient", False):
+    if args.resilient:
         return ResilientClient(
             host, port, timeout=args.timeout, seed=args.seed
         )
@@ -192,9 +152,10 @@ def _retry_bound(args: argparse.Namespace, envelopes: int) -> int:
     return BackoffPolicy().max_attempts * max(1, envelopes)
 
 
-def _run_client(args: argparse.Namespace, host: str, port: int) -> int:
-    requests = _batch_requests(args)
-    toxics = list(getattr(args, "toxic", []))
+def _run_client(
+    args: argparse.Namespace, requests: List[RunRequest], host: str, port: int
+) -> int:
+    toxics = list(args.toxic)
     proxy: Optional[ProxyThread] = None
     if toxics:
         proxy = ProxyThread(host, port, toxics=toxics, seed=args.seed)
@@ -217,16 +178,13 @@ def _run_client(args: argparse.Namespace, host: str, port: int) -> int:
         if proxy is not None:
             proxy.close()
     digest = summaries_digest(summaries)
-    ok = all(s.ok for s in summaries)
     envelopes = math.ceil(len(requests) / max(1, args.chunk))
-    retries_ok = (
-        not stats or stats["resubmits"] <= _retry_bound(args, envelopes)
-    )
+    gates: Dict[str, bool] = {}
     doc = {
         "server": info.get("server"),
         "protocol": version,
         "requests": len(requests),
-        "ok": ok,
+        "ok": all(s.ok for s in summaries),
         "wall_s": round(wall, 4),
         "digest": digest,
         "bytes_sent": sent,
@@ -236,71 +194,55 @@ def _run_client(args: argparse.Namespace, host: str, port: int) -> int:
     if toxics:
         doc["toxics"] = toxics
     if stats:
+        gates["bounded_retries"] = (
+            stats["resubmits"] <= _retry_bound(args, envelopes)
+        )
         doc["resilience"] = dict(stats)
-        doc["retries_bounded"] = retries_ok
-    selfcheck_ok = True
+        doc["retries_bounded"] = gates["bounded_retries"]
     if args.selfcheck:
-        baseline = BatchService(workers=0, engine=args.engine).run_batch(
-            requests
+        doc["selfcheck"] = cli.sequential_check(requests, args.engine, digest)
+    lines = [
+        f"net client: {len(requests)} requests over protocol v{version} "
+        f"in {wall:.2f}s — digest {digest}",
+        f"wire: {sent} bytes sent, {received} received "
+        f"({(sent + received) / max(1, len(requests)):.0f} B/request)",
+    ]
+    if stats:
+        lines.append(
+            f"resilience: {stats['reconnects']} reconnects, "
+            f"{stats['resubmits']} resubmits, "
+            f"{stats['retry_afters']} retry-afters, "
+            f"{stats['cache_hits']} cache hits"
         )
-        selfcheck_ok = baseline.batch_digest() == digest
-        doc["selfcheck"] = {
-            "sequential_digest": baseline.batch_digest(),
-            "match": selfcheck_ok,
-        }
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(
-            f"net client: {len(requests)} requests over protocol v{version} "
-            f"in {wall:.2f}s — digest {digest}"
-        )
-        print(
-            f"wire: {sent} bytes sent, {received} received "
-            f"({(sent + received) / max(1, len(requests)):.0f} B/request)"
-        )
-        if stats:
-            print(
-                f"resilience: {stats['reconnects']} reconnects, "
-                f"{stats['resubmits']} resubmits, "
-                f"{stats['retry_afters']} retry-afters, "
-                f"{stats['cache_hits']} cache hits"
-            )
-        if args.selfcheck:
-            status = "match" if selfcheck_ok else "MISMATCH"
-            print(f"selfcheck: sequential digest -> {status}")
-    if not ok:
-        for s in summaries:
-            if not s.ok:
-                print(f"FAIL {s.request.name}: {s.error}", file=sys.stderr)
-        return 1
-    if not selfcheck_ok:
-        print(
-            "selfcheck FAILED: remote and sequential digests disagree",
-            file=sys.stderr,
-        )
-        return 1
-    if not retries_ok:
-        print(
-            f"retry gate FAILED: {stats['resubmits']} resubmits exceeds "
-            f"the bound of {_retry_bound(args, envelopes)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return cli.verdict(
+        args,
+        doc,
+        "\n".join(lines),
+        what="net client",
+        gates=gates,
+        failures=[s for s in summaries if not s.ok],
+    )
 
 
-def _cmd_client(args: argparse.Namespace) -> int:
-    return _run_client(args, args.host, args.port)
+def _cmd_client(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> int:
+    requests = cli.build_requests(parser, args, args.batch)
+    return _run_client(args, requests, args.host, args.port)
 
 
-def _cmd_selfcheck(args: argparse.Namespace) -> int:
+def _cmd_selfcheck(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> int:
+    requests = cli.build_requests(parser, args, args.batch)
     args.selfcheck = True
     with ServerThread(**_server_kwargs(args)) as st:
-        return _run_client(args, st.host, st.port)
+        return _run_client(args, requests, st.host, st.port)
 
 
-def _cmd_soak(args: argparse.Namespace) -> int:
+def _cmd_soak(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> int:
     """Reconnect soak: flapping proxy, poisson load, four gates.
 
     The proxy drops every live connection every ``--flap-every``
@@ -315,15 +257,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     4. retries stayed bounded (resubmits <= the backoff attempt cap
        per envelope).
     """
-    from ...scenarios.generators import (
-        flap_times,
-        mixed_batch,
-        poisson_arrivals,
-    )
-
     count = max(1, int(args.rate * args.duration))
-    scenarios = mixed_batch(count, mix=args.scenario_mix, seed0=args.seed)
-    requests = requests_from_scenarios(scenarios, engine=args.engine)
+    requests = cli.build_requests(parser, args, count)
     arrivals = poisson_arrivals(args.rate, count, seed=args.seed)
     flaps = flap_times(
         args.flap_every, args.duration, jitter_frac=0.2, seed=args.seed
@@ -386,12 +321,12 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
     summaries = [s for channel in order for s in collected[channel]]
     digest = summaries_digest(summaries)
-    baseline = BatchService(workers=0, engine=args.engine).run_batch(requests)
+    check = cli.sequential_check(requests, args.engine, digest)
     gateway = metrics.get("gateway", {})
     offered = gateway.get("offered") if isinstance(gateway, dict) else None
     gates = {
         "all_collected": len(summaries) == count and stranded == 0,
-        "digest_match": baseline.batch_digest() == digest,
+        "digest_match": check["match"],
         "no_duplicate_execution": offered == count,
         "bounded_retries": (
             stats["resubmits"] <= _retry_bound(args, count)
@@ -405,68 +340,24 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         "stranded": stranded,
         "gateway_offered": offered,
         "digest": digest,
-        "baseline_digest": baseline.batch_digest(),
+        "baseline_digest": check["sequential_digest"],
         "resilience": dict(stats),
         "proxy": dict(proxy_stats),
         "idempotency": metrics.get("idempotency"),
         "gates": gates,
         "ok": all(gates.values()),
     }
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(
-            f"soak: {count} requests over {args.duration:.0f}s, "
-            f"{len(flaps)} connection flaps -> "
-            f"{stats['reconnects']} reconnects, "
-            f"{stats['resubmits']} resubmits, "
-            f"{stats['cache_hits']} cache hits, {stranded} stranded"
-        )
-        print(
-            f"executions: gateway offered {offered} for {count} unique "
-            f"requests; digest {digest} "
-            f"({'match' if gates['digest_match'] else 'MISMATCH'})"
-        )
-        for gate, passed in gates.items():
-            print(f"gate {gate}: {'pass' if passed else 'FAIL'}")
-    if not all(gates.values()):
-        failed = [g for g, p in gates.items() if not p]
-        print(f"soak gates FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    requests = _batch_requests(args)
-    with ServerThread(**_server_kwargs(args)) as st:
-        with Client(st.host, st.port, timeout=args.timeout) as client:
-            lat_ms: List[float] = []
-            for i in range(0, len(requests), args.chunk):
-                envelope = requests[i:i + args.chunk]
-                t0 = time.perf_counter()
-                channel = client.submit(envelope)
-                client.collect(channel)
-                lat_ms.append((time.perf_counter() - t0) * 1e3)
-            sent, received = client.bytes_sent, client.bytes_received
-    lat_ms.sort()
-
-    def pct(p: float) -> float:
-        return lat_ms[min(len(lat_ms) - 1, int(p * len(lat_ms)))]
-
-    per_req = (sent + received) / max(1, len(requests))
-    print(
-        f"net bench: {len(requests)} requests in {len(lat_ms)} envelopes "
-        f"of <= {args.chunk}"
+    text = (
+        f"soak: {count} requests over {args.duration:.0f}s, "
+        f"{len(flaps)} connection flaps -> "
+        f"{stats['reconnects']} reconnects, "
+        f"{stats['resubmits']} resubmits, "
+        f"{stats['cache_hits']} cache hits, {stranded} stranded\n"
+        f"executions: gateway offered {offered} for {count} unique "
+        f"requests; digest {digest} "
+        f"({'match' if gates['digest_match'] else 'MISMATCH'})"
     )
-    print(
-        f"envelope round-trip ms: p50 {pct(0.50):.2f} "
-        f"p95 {pct(0.95):.2f} p99 {pct(0.99):.2f}"
-    )
-    print(
-        f"wire bytes: {sent} sent, {received} received "
-        f"({per_req:.0f} B/request)"
-    )
-    return 0
+    return cli.verdict(args, doc, text, what="soak", gates=gates)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -478,50 +369,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_serve = sub.add_parser("serve", help="run a server in the foreground")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=7707)
+    cli.add_flags(p_serve, "host", "port", "engine")
     _add_gateway_args(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_client = sub.add_parser("client", help="run a batch against a server")
-    p_client.add_argument("--host", default="127.0.0.1")
-    p_client.add_argument("--port", type=int, default=7707)
-    p_client.add_argument("--timeout", type=float, default=60.0)
-    p_client.add_argument(
-        "--engine", default="fast",
-        help="engine stamped on every request (default fast)",
-    )
-    p_client.add_argument(
-        "--selfcheck", action="store_true",
-        help="compare the remote digest against the sequential baseline",
-    )
-    p_client.add_argument("--json", action="store_true")
+    cli.add_flags(p_client, "host", "port", "timeout", "selfcheck")
     _add_batch_args(p_client)
     _add_fault_args(p_client)
     p_client.set_defaults(func=_cmd_client)
 
+    # the selfcheck differential and the soak default to full-taxonomy
+    # coverage
     p_self = sub.add_parser(
         "selfcheck", help="loopback server+client digest check (CI smoke)"
     )
-    p_self.add_argument("--host", default="127.0.0.1")
-    p_self.add_argument("--port", type=int, default=0)
-    p_self.add_argument("--timeout", type=float, default=60.0)
-    p_self.add_argument("--json", action="store_true")
+    cli.add_flags(p_self, "host", "timeout", port=0)
     _add_gateway_args(p_self)
-    _add_batch_args(p_self)
+    _add_batch_args(p_self, scenario_mix=REMOTE_SELFCHECK_MIX)
     _add_fault_args(p_self)
-    from ...scenarios.generators import REMOTE_SELFCHECK_MIX
-
-    # the selfcheck differential defaults to full-taxonomy coverage
-    p_self.set_defaults(func=_cmd_selfcheck, scenario_mix=REMOTE_SELFCHECK_MIX)
+    p_self.set_defaults(func=_cmd_selfcheck)
 
     p_soak = sub.add_parser(
         "soak",
         help="reconnect soak: flapping fault proxy + resilient client",
     )
-    p_soak.add_argument("--host", default="127.0.0.1")
-    p_soak.add_argument("--port", type=int, default=0)
-    p_soak.add_argument("--timeout", type=float, default=30.0)
+    cli.add_flags(p_soak, "host", port=0, timeout=30.0)
     p_soak.add_argument(
         "--duration", type=float, default=60.0, metavar="S",
         help="soak length in seconds (default 60)",
@@ -534,29 +407,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--flap-every", type=float, default=3.0, metavar="S",
         help="drop every proxied connection this often (default 3s)",
     )
-    p_soak.add_argument("--json", action="store_true")
     _add_gateway_args(p_soak)
-    _add_batch_args(p_soak)
+    _add_batch_args(p_soak, scenario_mix=REMOTE_SELFCHECK_MIX)
     _add_fault_args(p_soak)
-    p_soak.set_defaults(
-        func=_cmd_soak,
-        scenario_mix=REMOTE_SELFCHECK_MIX,
-        policy="block",
-        resilient=True,
-    )
-
-    p_bench = sub.add_parser(
-        "bench", help="loopback latency / wire-bytes micro-bench"
-    )
-    p_bench.add_argument("--host", default="127.0.0.1")
-    p_bench.add_argument("--port", type=int, default=0)
-    p_bench.add_argument("--timeout", type=float, default=60.0)
-    _add_gateway_args(p_bench)
-    _add_batch_args(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
+    p_soak.set_defaults(func=_cmd_soak, policy="block", resilient=True)
 
     args = parser.parse_args(argv)
-    return int(args.func(args))
+    # each command gets its own subparser, for usage errors
+    return int(args.func(sub.choices[args.command], args))
 
 
 if __name__ == "__main__":

@@ -581,6 +581,8 @@ def replay_capture(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from . import cli  # imported here: cli imports the stream gateway
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.recording",
         description=(
@@ -593,22 +595,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_info = sub.add_parser("info", help="print a capture's header and counts")
     p_info.add_argument("capture", help="capture file path")
-    p_info.add_argument("--json", action="store_true")
+    cli.add_flags(p_info, "json")
 
     p_replay = sub.add_parser(
         "replay",
         help="re-feed a capture through a live gateway and compare digests",
     )
     p_replay.add_argument("capture", help="capture file path")
-    p_replay.add_argument("--workers", type=int, default=2)
-    p_replay.add_argument(
-        "--backend", default="process", choices=("process", "thread")
-    )
     p_replay.add_argument(
         "--timescale", type=float, default=1.0,
         help="arrival-offset multiplier; 0 = saturated replay (default 1)",
     )
-    p_replay.add_argument("--json", action="store_true")
+    cli.add_flags(p_replay, "workers", "backend", "json")
 
     args = parser.parse_args(argv)
     try:
@@ -632,12 +630,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "capture_digest": capture.capture_digest(),
             "has_metrics": capture.metrics is not None,
         }
-        if args.json:
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            for key, value in doc.items():
-                print(f"{key}: {value}")
-        return 0
+        text = "\n".join(f"{key}: {value}" for key, value in doc.items())
+        return cli.verdict(args, doc, text, what="info")
 
     report = replay_capture(
         capture,
@@ -645,15 +639,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         backend=args.backend,
         timescale=args.timescale,
     )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(
-            f"replayed {len(capture.events)} requests: capture digest "
-            f"{report.capture_digest} vs replay {report.replay_digest} -> "
-            f"{'match' if report.digests_match else 'MISMATCH'}"
-        )
-    return 0 if report.ok else 1
+    text = (
+        f"replayed {len(capture.events)} requests: capture digest "
+        f"{report.capture_digest} vs replay {report.replay_digest} -> "
+        f"{'match' if report.digests_match else 'MISMATCH'}"
+    )
+    return cli.verdict(
+        args,
+        report.to_dict(),
+        text,
+        what="replay",
+        gates={"digests_match": report.digests_match},
+    )
 
 
 if __name__ == "__main__":

@@ -64,8 +64,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
@@ -81,13 +79,11 @@ from ..core.engine import (
     available_engines,
 )
 from ..core.metrics import LatencyHistogram
-from ..scenarios.generators import DEFAULT_MIX, arrival_times, mixed_batch
+from ..scenarios.generators import arrival_times
 from .batch import (
     BACKENDS,
-    BatchService,
     WorkerPool,
     execute_request,
-    requests_from_scenarios,
     structural_representatives,
     summaries_digest,
 )
@@ -899,6 +895,8 @@ def _render(report: StreamReport, arrivals_label: str) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from . import cli  # imported here: cli imports this module
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.stream",
         description=(
@@ -925,67 +923,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=("poisson", "uniform", "saturated", "bursty"),
         help="arrival process (default: poisson; --rate 0 forces saturated)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="W",
-        help="concurrent executions / pool size (default 2)",
-    )
-    parser.add_argument(
-        "--queue-cap", type=int, default=64, metavar="Q",
-        help="request queue bound (default 64)",
-    )
-    parser.add_argument(
-        "--policy", default="reject", choices=POLICIES,
-        help="backpressure policy when the queue is full (default: reject)",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
-        help="default per-request latency budget; omit for no deadline",
-    )
-    parser.add_argument(
-        "--backend", default="process", choices=BACKENDS,
-        help="executor backend (default: process)",
-    )
-    parser.add_argument(
-        "--micro-batch", type=int, default=1, metavar="K",
-        help=(
-            "coalesce up to K queued requests into one executor hop, "
-            "adapted to queue depth (default 1: per-request dispatch)"
-        ),
-    )
-    parser.add_argument(
-        "--engine", default="fast", choices=available_engines(),
-        help="execution engine for every run (default: fast)",
-    )
-    parser.add_argument(
-        "--scenario-mix", default=DEFAULT_MIX, metavar="MIX",
-        help="weighted kind/family:weight mix (see repro.service)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed for workloads and the arrival process (default 0)",
-    )
-    parser.add_argument(
-        "--no-warmup", action="store_true",
-        help="skip the structural plan-cache warmup pass",
-    )
-    parser.add_argument(
-        "--record", default=None, metavar="PATH",
-        help=(
-            "append every request/summary envelope plus arrival offsets "
-            "to a capture file (replay with python -m "
-            "repro.service.recording)"
-        ),
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable report instead of tables",
-    )
-    parser.add_argument(
-        "--selfcheck", action="store_true",
-        help=(
-            "re-run the completed requests on the sequential batch backend "
-            "and require byte-identical digests (CI smoke mode)"
-        ),
+    cli.add_flags(
+        parser, *cli.GATEWAY, *cli.WORKLOAD, "no_warmup", "record",
+        "selfcheck",
     )
     args = parser.parse_args(argv)
 
@@ -1001,14 +941,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if count < 1:
         parser.error("need at least one request (--requests or rate*duration)")
     process = "saturated" if args.rate <= 0 else args.arrivals
-    try:
-        scenarios = mixed_batch(count, mix=args.scenario_mix, seed0=args.seed)
-        arrivals = arrival_times(
-            process, max(args.rate, 1e-9), count, seed=args.seed
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    requests = requests_from_scenarios(scenarios, engine=args.engine)
+    requests = cli.build_requests(parser, args, count)
+    arrivals = arrival_times(
+        process, max(args.rate, 1e-9), count, seed=args.seed
+    )
 
     report = serve(
         requests,
@@ -1025,48 +961,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     doc = report.to_dict()
-    selfcheck_ok = True
     if args.selfcheck:
-        done = [s.request for s in report.completed]
-        if done:
-            baseline = BatchService(workers=0, engine=args.engine).run_batch(
-                done
-            )
-            selfcheck_ok = (
-                baseline.ok
-                and baseline.batch_digest() == report.stream_digest()
-            )
-            doc["selfcheck"] = {
-                "sequential_digest": baseline.batch_digest(),
-                "match": selfcheck_ok,
-            }
-        else:
-            selfcheck_ok = False
-            doc["selfcheck"] = {"sequential_digest": "", "match": False}
-
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        label = f"{process} @ {args.rate:g}/s"
-        print(_render(report, label))
-        if args.selfcheck:
-            status = "match" if selfcheck_ok else "MISMATCH"
-            print(
-                f"selfcheck: sequential backend digest "
-                f"{doc['selfcheck']['sequential_digest']} -> {status}"
-            )
-
-    if not report.ok:
-        for s in report.failures:
-            print(f"FAIL {s.request.name}: {s.error}", file=sys.stderr)
-        return 1
-    if not selfcheck_ok:
-        print(
-            "selfcheck FAILED: stream and sequential backend disagree",
-            file=sys.stderr,
+        doc["selfcheck"] = cli.sequential_check(
+            [s.request for s in report.completed],
+            args.engine,
+            report.stream_digest(),
         )
-        return 1
-    return 0
+    return cli.verdict(
+        args,
+        doc,
+        _render(report, f"{process} @ {args.rate:g}/s"),
+        what="stream",
+        failures=report.failures,
+    )
 
 
 if __name__ == "__main__":

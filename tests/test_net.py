@@ -544,18 +544,12 @@ def test_mock_client_mirrors_the_client_surface():
 # -- CLI ---------------------------------------------------------------------
 
 
-def test_cli_selfcheck_and_bench(capsys):
+def test_cli_selfcheck(capsys):
     from repro.service.net.__main__ import main as net_main
 
     assert net_main(["selfcheck", "--batch", "10", "--workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "selfcheck: sequential digest -> match" in out
-
-    assert net_main(
-        ["bench", "--batch", "8", "--chunk", "4", "--workers", "2"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "envelope round-trip ms" in out and "wire bytes" in out
 
 
 def test_remote_selfcheck_mix_covers_the_full_taxonomy():
